@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .core import (
@@ -22,6 +23,9 @@ from .core import (
     RecurrenceParams,
     _basis_ut_raw,
     _check_index,
+    _coprime_fraction,
+    _pair,
+    _reduced,
     basis_ut,
     companion_power,
     fibonacci,
@@ -37,13 +41,19 @@ def ratio_x(
     Undefined (DegenerateRatio) when U_{n-1} = 0, which happens for
     degenerate coefficient choices such as p = 0.
     """
+    u_prev, u_n = _ratio_pair(params, n, max_index)
+    return _reduced(params.p, params.q)(u_n, u_prev)
+
+
+def _ratio_pair(params: RecurrenceParams, n: int, max_index: int | None) -> tuple[int, int]:
+    """(U_{n-1}, U_n), refusing n < 2 and a vanishing U_{n-1}."""
     if n < 2:
         raise ValueError(f"ratio index must be >= 2, got {n}")
-    m = companion_power(params, n - 1, max_index)
-    u_prev, u_n = m.e12, m.e22  # M^{n-1} = [[T_{n-1}, U_{n-1}], [T_n, U_n]]
+    _check_index(n - 1, max_index)
+    u_prev, u_n = _pair(params.p, params.q, n - 1)
     if u_prev == 0:
         raise DegenerateRatio(f"U_{n - 1} = 0, ratio x_{n} undefined")
-    return Fraction(u_n, u_prev)
+    return u_prev, u_n
 
 
 def general_ratio_y(
@@ -51,15 +61,26 @@ def general_ratio_y(
 ) -> Fraction:
     """Consecutive-term ratio a_n / a_{n-1} of an arbitrary sequence.
 
-    Evaluated through the closed form (a1*x_n - a0*q) / (a0*x_n + a1 - a0*p),
-    which only needs the single ratio x_n of the U basis.
+    Equal to the closed form (a1*x_n - a0*q) / (a0*x_n + a1 - a0*p) in the
+    ratio x_n of the U basis; it is built as one Fraction from the terms
+    a_n = a1*U_n - a0*q*U_{n-1} and a_{n-1} = a0*U_n + (a1 - a0*p)*U_{n-1}.
     """
     p, q = seq.params.p, seq.params.q
-    x_n = ratio_x(seq.params, n, max_index)
-    denom = seq.a0 * x_n + seq.a1 - seq.a0 * p
-    if denom == 0:
+    a0, a1 = seq.a0, seq.a1
+    u_prev, u_n = _ratio_pair(seq.params, n, max_index)
+    a_n = a1 * u_n - a0 * q * u_prev
+    a_prev = a0 * u_n + (a1 - a0 * p) * u_prev
+    if a_prev == 0:
         raise DegenerateRatio(f"a_{n - 1} = 0, ratio a_{n}/a_{n - 1} undefined")
-    return (seq.a1 * x_n - seq.a0 * q) / denom
+    # (a_n, a_{n-1}) is (U_n, U_{n-1}) times an integer matrix of determinant
+    # det; when those U terms are coprime, every common factor of the pair
+    # divides det, so gcds against the small det find it in linear time
+    # (det = 0 degrades to the full gcd).
+    if gcd(p, q) == 1:
+        det = a1 * a1 - p * a0 * a1 + q * a0 * a0
+        g = gcd(gcd(a_n, det), a_prev)
+        return _coprime_fraction(a_n // g, a_prev // g)
+    return Fraction(a_n, a_prev)
 
 
 def shift_ratio(

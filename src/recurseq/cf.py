@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import RecurrenceParams, _check_index, basis_ut, fibonacci
+from .core import RecurrenceParams, _check_index, _pair, fibonacci
 from .errors import DegenerateConvergent, NonRealRoots
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -177,9 +177,9 @@ class PeriodicQuadCF:
 
     def sigma(self, i: int, max_index: int | None = None) -> int:
         """sigma_i of sigma = W(0, 1, b, -a*c), memoized for small indices."""
-        if i > _SIGMA_MEMO_LIMIT:
-            return basis_ut(self.params(), i, max_index)[0]
         _check_index(i, max_index)
+        if i > _SIGMA_MEMO_LIMIT:
+            return _pair(self.b, -self.a * self.c, i)[0]
         with self._lock:
             while len(self._sigma) <= i:
                 self._sigma.append(self.b * self._sigma[-1] + self.a * self.c * self._sigma[-2])

@@ -7,14 +7,17 @@ never an approximation.  The two basis sequences
     U = W(0, 1, p, q)   and   T = W(1, 0, p, q)
 
 span every sequence with the same coefficients: a_n = a1*U_n + a0*T_n.
-Their values are packed into powers of the companion matrix
-M = [[0, 1], [-q, p]], which is what makes O(log n) evaluation possible.
+Everything is derived from the single pair (U_n, U_{n+1}), evaluated in
+O(log n) steps by the doubling rule U_{2k} = U_k(2U_{k+1} - pU_k),
+U_{2k+1} = U_{k+1}^2 - qU_k^2: T_n = U_{n+1} - pU_n, and the powers of the
+companion matrix M = [[0, 1], [-q, p]] are M^n = [[T_n, U_n], [-qU_n, U_{n+1}]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import IndexCapExceeded, InverseUnavailable
@@ -80,34 +83,49 @@ class Matrix2:
         return self.e11 * self.e22 - self.e12 * self.e21
 
 
-def _mat_mul_raw(a, b):
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
+def _pair(p: Exact, q: Exact, n: int) -> tuple[Exact, Exact]:
+    """(U_n, U_{n+1}) for n >= 0, for integer or rational coefficients.
 
-
-def _mat_pow_raw(m, n):
-    """n-th power (n >= 0) of a 2x2 matrix given as a 4-tuple, by squaring."""
-    result = (1, 0, 0, 1)
-    base = m
-    while n:
-        if n & 1:
-            result = _mat_mul_raw(result, base)
-        n >>= 1
-        if n:
-            base = _mat_mul_raw(base, base)
-    return result
+    Walks the bits of n from the top, doubling k -> 2k and stepping
+    k -> k+1 where the bit is set: three full-size products per bit.
+    """
+    u, v = 0, 1
+    for bit in bin(n)[2:]:
+        u, v = u * (2 * v - p * u), v * v - q * u * u
+        if bit == "1":
+            u, v = v, p * v - q * u
+    return u, v
 
 
 def _basis_ut_raw(p: Exact, q: Exact, n: int) -> tuple[Exact, Exact]:
     """(U_n, T_n) for n >= 0, valid for integer or rational coefficients."""
-    t11, t12, _, _ = _mat_pow_raw((0, 1, -q, p), n)
-    return t12, t11
+    u, v = _pair(p, q, n)
+    return u, v - p * u
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den for a pair already known to be coprime, with no gcd.
+
+    Only the sign is normalised, and a zero numerator gives 0/1.  Callers must
+    prove gcd(num, den) = 1; Fraction(num, den) is the reference it equals.
+    """
+    if num == 0:
+        return Fraction(0)
+    if den < 0:
+        num, den = -num, -den
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
+
+
+def _reduced(p: int, q: int):
+    """Fraction constructor for ratios of U terms of (p, q).
+
+    When gcd(p, q) = 1, consecutive U terms are coprime and U_m = p^(m-1)
+    (mod q) is prime to q (E. Lucas, 1878), so those ratios need no gcd.
+    """
+    return _coprime_fraction if gcd(p, q) == 1 else Fraction
 
 
 def companion_power(
@@ -122,22 +140,20 @@ def companion_power(
     _check_index(n, max_index)
     p, q = params.p, params.q
     if n >= 0:
-        t11, t12, t21, t22 = _mat_pow_raw((0, 1, -q, p), n)
-        return Matrix2(t11, t12, t21, t22)
+        u, v = _pair(p, q, n)
+        return Matrix2(v - p * u, u, -q * u, v)
     if q == 0:
         raise InverseUnavailable(
             "negative companion powers need q != 0 (the matrix is singular)"
         )
     k = -n
-    u_k, t_k = _basis_ut_raw(p, q, k)
-    denom = q**k
-    # M^{-k} = (1/q^k) [[T_k + p U_k, -U_k], [q U_k, T_k]]
-    return Matrix2(
-        Fraction(t_k + p * u_k, denom),
-        Fraction(-u_k, denom),
-        Fraction(q * u_k, denom),
-        Fraction(t_k, denom),
-    )
+    u_prev, u_k = _pair(p, q, k - 1)
+    u_next = p * u_k - q * u_prev
+    frac = _reduced(p, q)
+    small = q ** (k - 1)
+    big = small * q
+    # M^{-k} = (1/q^k) [[U_{k+1}, -U_k], [q U_k, -q U_{k-1}]]
+    return Matrix2(frac(u_next, big), frac(-u_k, big), frac(u_k, small), frac(-u_prev, small))
 
 
 def basis_ut(
@@ -149,6 +165,9 @@ def basis_ut(
     which matches the closed form U_n = (alpha^n - beta^n)/(alpha - beta)
     whenever the characteristic roots are distinct.
     """
+    if n >= 0:
+        _check_index(n, max_index)
+        return _basis_ut_raw(params.p, params.q, n)
     m = companion_power(params, n, max_index)
     return m.e12, m.e11
 

@@ -105,7 +105,8 @@ def _poly_eval(a, y):
     return acc
 
 
-@lru_cache(maxsize=None)
+# Keyed by caller-supplied (p, q, d), so bounded; a miss costs O(d^2) products.
+@lru_cache(maxsize=128)
 def _inverse_derivative_polys(p, q, d):
     """P_0..P_d with (1/f)^(k) = P_k / f^{k+1} for f = t^2 - p*t + q.
 
