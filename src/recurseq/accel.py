@@ -26,7 +26,6 @@ from .core import (
     _coprime_fraction,
     _pair,
     _reduced,
-    basis_ut,
     companion_power,
     fibonacci,
 )
@@ -142,8 +141,11 @@ def _seed_entry(
 ) -> AccelerationEntry:
     if idx < 2:
         raise ValueError(f"acceleration index {idx} is < 2")
-    u, t = basis_ut(params, idx, max_index)
-    return AccelerationEntry(idx, Fraction(u), Fraction(t), ratio_x(params, idx, max_index))
+    _check_index(idx, max_index)
+    u_prev, u = _ratio_pair(params, idx, max_index)
+    # T_idx = U_{idx+1} - p*U_idx = -q*U_{idx-1}
+    t = -params.q * u_prev
+    return AccelerationEntry(idx, Fraction(u), Fraction(t), _reduced(params.p, params.q)(u, u_prev))
 
 
 def accelerate_general(

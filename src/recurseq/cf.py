@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import RecurrenceParams, _check_index, _pair, fibonacci
+from .core import RecurrenceParams, _check_index, _pair, _reduced, fibonacci
 from .errors import DegenerateConvergent, NonRealRoots
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -177,6 +177,8 @@ class PeriodicQuadCF:
 
     def sigma(self, i: int, max_index: int | None = None) -> int:
         """sigma_i of sigma = W(0, 1, b, -a*c), memoized for small indices."""
+        if i < 0:
+            raise ValueError(f"sigma index must be >= 0, got {i}")
         _check_index(i, max_index)
         if i > _SIGMA_MEMO_LIMIT:
             return _pair(self.b, -self.a * self.c, i)[0]
@@ -189,13 +191,22 @@ class PeriodicQuadCF:
 def quad_cf_convergent(
     qcf: PeriodicQuadCF, n: int, max_index: int | None = None
 ) -> Fraction:
-    """C_n = sigma_{n+2} / (a * sigma_{n+1})."""
+    """C_n = sigma_{n+2} / (a * sigma_{n+1}).
+
+    When gcd(b, a*c) = 1 the result needs no gcd: consecutive sigma terms are
+    coprime, and sigma_m = b^(m-1) (mod a) is prime to a.
+    """
     if n < 0:
         raise ValueError(f"convergent index must be >= 0, got {n}")
-    denom = qcf.sigma(n + 1, max_index)
+    if n + 2 > _SIGMA_MEMO_LIMIT:
+        _check_index(n + 1, max_index)
+        denom, numer = _pair(qcf.b, -qcf.a * qcf.c, n + 1)
+    else:
+        denom, numer = qcf.sigma(n + 1, max_index), qcf.sigma(n + 2)
     if denom == 0:
         raise DegenerateConvergent(f"sigma_{n + 1} = 0, convergent C_{n} undefined")
-    return Fraction(qcf.sigma(n + 2, max_index), qcf.a * denom)
+    _check_index(n + 2, max_index)
+    return _reduced(qcf.b, -qcf.a * qcf.c)(numer, qcf.a * denom)
 
 
 _METHOD_INDEX = {

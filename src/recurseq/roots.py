@@ -7,7 +7,13 @@ the associated recurrent sequence onto another ratio term:
     Halley        x_k   -> x_{3k-2}       Householder x_k -> x_{(d+1)k-d}
 
 so iterating a method is exactly an index acceleration of the ratio sequence.
-Every step below is computed in exact rational arithmetic.
+In the coordinate z = (x - alpha)/(x - beta), alpha and beta the roots of
+t^2 - p*t + q, every method is the power map z -> z^m (m = 2 for Newton, 3
+for Halley, d+1 for Householder of order d; secant is z -> z1*z2), the
+classical Koenig/Householder conjugacy.  Newton, Halley and Householder are
+therefore computed by one integer engine, _power_step, which raises
+(n - p*d) + d*t to the m-th power in Z[t]/(t^2 - p*t + q) for x = n/d;
+secant is one cross-multiplied fraction.  Every step is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
+from .core import _coprime_fraction
 from .errors import DegenerateStep, NonRealRoots, NoProgress
 from .formatting import format_decimal
 
@@ -61,28 +69,78 @@ class QuadraticPQ:
         return self.p * self.p - 4 * self.q
 
 
+_NEWTON_DEGENERATE = "Newton step at the critical point 2a*y = b"
+_HALLEY_DEGENERATE = "Halley denominator 3y^2 - 3py + p^2 - q vanished"
+
+
+def _householder_degenerate(d: int) -> str:
+    return f"Householder order-{d} denominator vanished"
+
+
+def _power_step(p: int, q: int, a: int, y, m: int, degenerate: str) -> Fraction:
+    """y -> x'/a, where x' is the image of x = a*y under z -> z^m for t^2 - p*t + q.
+
+    With x = n/d in lowest terms, w = (n - p*d) + d*t takes the values
+    d*(x - beta) and d*(x - alpha) at t = alpha and t = beta, so
+    w^m = e0 + e1*t gives x' = (e0 + p*e1)/e1.  This is a polynomial identity
+    in (x, p, q), so it also holds for a double root, complex roots, and at a
+    rational root (which it fixes).  e1 = 0 exactly when the method's own
+    denominator vanishes.
+
+    For D = p^2 - 4q != 0 the ring mod any prime l not dividing D has no
+    nilpotents, so l | w^m would force l | n and l | d: every common factor
+    of (e0 + p*e1, e1) is made of primes of D and is removed by gcds against
+    D (repeated, since it can exceed D).  Going from y to x = a*y and back
+    needs gcds against a only.
+    """
+    n, d = y.as_integer_ratio()
+    g = gcd(a, d)
+    n, d = a // g * n, d // g
+    u = n - p * d
+    e0, e1 = u, d  # w^k = e0 + e1*t, from k = 1 up the bits of m
+    for bit in bin(m)[3:]:
+        # Squaring with t^2 = p*t - q: three full-size products.
+        e0, e1 = e0 * e0 - q * (e1 * e1), e1 * (2 * e0 + p * e1)
+        if bit == "1":
+            e0, e1 = e0 * u - q * (e1 * d), e0 * d + e1 * n
+    if e1 == 0:
+        raise DegenerateStep(degenerate)
+    num, den = e0 + p * e1, e1
+    disc = p * p - 4 * q
+    if disc:
+        h = gcd(gcd(disc, num), den)
+        while h > 1:
+            num, den = num // h, den // h
+            h = gcd(gcd(disc, num), den)
+    else:
+        h = gcd(num, den)
+        num, den = num // h, den // h
+    if a != 1:
+        g = gcd(num, a)
+        num, den = num // g, den * (a // g)
+    return _coprime_fraction(num, den)
+
+
 def secant_step(f: QuadraticABC, x_prev, x_prev2) -> Fraction:
     """One secant step: (a*x1*x2 + c) / (a*x1 + a*x2 - b)."""
-    den = f.a * (x_prev + x_prev2) - f.b
+    n1, d1 = x_prev.as_integer_ratio()
+    n2, d2 = x_prev2.as_integer_ratio()
+    dd = d1 * d2
+    den = f.a * (n1 * d2 + n2 * d1) - f.b * dd
     if den == 0:
         raise DegenerateStep("secant denominator a*(x1 + x2) - b vanished")
-    return Fraction(f.a * x_prev * x_prev2 + f.c) / Fraction(den)
+    # The common factor here is not confined to the discriminant: one gcd.
+    return Fraction(f.a * n1 * n2 + f.c * dd, den)
 
 
 def newton_step(f: QuadraticABC, y) -> Fraction:
-    """One Newton step: (a*y^2 + c) / (2a*y - b)."""
-    den = 2 * f.a * y - f.b
-    if den == 0:
-        raise DegenerateStep("Newton step at the critical point 2a*y = b")
-    return Fraction(f.a * y * y + f.c) / Fraction(den)
+    """One Newton step: (a*y^2 + c) / (2a*y - b), i.e. z -> z^2."""
+    return _power_step(f.b, -f.a * f.c, f.a, y, 2, _NEWTON_DEGENERATE)
 
 
 def halley_step(f: QuadraticPQ, y) -> Fraction:
-    """One Halley step: y + f(y)*(p - 2y) / (3y^2 - 3py + p^2 - q)."""
-    den = 3 * y * y - 3 * f.p * y + f.p * f.p - f.q
-    if den == 0:
-        raise DegenerateStep("Halley denominator 3y^2 - 3py + p^2 - q vanished")
-    return Fraction(y) + Fraction(f(y) * (f.p - 2 * y)) / Fraction(den)
+    """One Halley step: y + f(y)*(p - 2y) / (3y^2 - 3py + p^2 - q), i.e. z -> z^3."""
+    return _power_step(f.p, f.q, 1, y, 3, _HALLEY_DEGENERATE)
 
 
 def _poly_mul(a, b):
@@ -98,21 +156,15 @@ def _poly_derivative(a):
     return [i * c for i, c in enumerate(a)][1:] or [0]
 
 
-def _poly_eval(a, y):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * y + c
-    return acc
-
-
 # Keyed by caller-supplied (p, q, d), so bounded; a miss costs O(d^2) products.
 @lru_cache(maxsize=128)
 def _inverse_derivative_polys(p, q, d):
     """P_0..P_d with (1/f)^(k) = P_k / f^{k+1} for f = t^2 - p*t + q.
 
     Differentiating P_{k-1}/f^k gives the integer-coefficient recurrence
-    P_k = P'_{k-1}*f - k*P_{k-1}*f', which keeps every Householder step
-    rational (no root extraction needed).
+    P_k = P'_{k-1}*f - k*P_{k-1}*f'.  The order-d Householder step is
+    y + d*P_{d-1}(y)*f(y)/P_d(y); householder_step computes the same value
+    as a power map, and the tests use these polynomials as its oracle.
     """
     f = [q, -p, 1]
     fp = [-p, 2]
@@ -131,16 +183,13 @@ def _inverse_derivative_polys(p, q, d):
 def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
     """One Householder step of order d: y + d * P_{d-1}(y) * f(y) / P_d(y).
 
-    d = 1 reproduces the Newton step and d = 2 the Halley step exactly.
+    P_k is the numerator of (1/f)^(k) (see _inverse_derivative_polys); on a
+    quadratic the step is z -> z^(d+1), so d = 1 reproduces the Newton step
+    and d = 2 the Halley step exactly.
     """
     if d < 1:
         raise ValueError(f"Householder order must be >= 1, got {d}")
-    polys = _inverse_derivative_polys(f.p, f.q, d)
-    den = _poly_eval(polys[d], y)
-    if den == 0:
-        raise DegenerateStep(f"Householder order-{d} denominator vanished")
-    num = d * _poly_eval(polys[d - 1], y) * f(y)
-    return Fraction(y) + Fraction(num) / Fraction(den)
+    return _power_step(f.p, f.q, 1, y, d + 1, _householder_degenerate(d))
 
 
 def newton_index(k: int) -> int:
@@ -192,23 +241,24 @@ def _canonical_seeds(f: QuadraticABC, method: str) -> list[Fraction]:
 
 
 def _make_stepper(f: QuadraticABC, method: str, order: int | None):
-    if method == "newton":
-        return lambda ys: newton_step(f, ys[-1])
     if method == "secant":
         return lambda ys: secant_step(f, ys[-1], ys[-2])
-    pq = f.scaled_pq()
-    a = f.a
-    if method == "halley":
-        return lambda ys: halley_step(pq, a * ys[-1]) / a
-    if method == "householder":
+    if method == "newton":
+        m, degenerate = 2, _NEWTON_DEGENERATE
+    elif method == "halley":
+        m, degenerate = 3, _HALLEY_DEGENERATE
+    elif method == "householder":
         if order is None or order < 1:
             raise ValueError("householder method needs an order >= 1")
-        return lambda ys: householder_step(pq, a * ys[-1], order) / a
-    raise ValueError(f"unknown method {method!r}")
+        m, degenerate = order + 1, _householder_degenerate(order)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    p, q, a = f.b, -f.a * f.c, f.a
+    return lambda ys: _power_step(p, q, a, ys[-1], m, degenerate)
 
 
 def _iterate(f, method, digits, order, max_iterations):
-    tol = Fraction(1, 10 ** (digits + 2))
+    scale = 10 ** (digits + 2)
     step = _make_stepper(f, method, order)
     failure = None
     for shift in range(_SEED_SHIFTS):
@@ -225,7 +275,10 @@ def _iterate(f, method, digits, order, max_iterations):
             continue
         iterates.append(nxt)
         for _ in range(max_iterations):
-            if abs(iterates[-1] - iterates[-2]) <= tol:
+            # |y1 - y0| <= 10^-(digits+2), cross-multiplied: no gcd.
+            n1, d1 = iterates[-1].as_integer_ratio()
+            n0, d0 = iterates[-2].as_integer_ratio()
+            if abs(n1 * d0 - n0 * d1) * scale <= d0 * d1:
                 return iterates
             iterates.append(step(iterates))
         raise NoProgress(
