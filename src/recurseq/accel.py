@@ -2,13 +2,18 @@
 
 When the characteristic roots are real with distinct moduli, x_n converges to
 the larger root, so pulling out a subsequence x_{g_n} along a fast-growing
-index sequence g is a convergence acceleration.  The formulas here generate
+index sequence g is a convergence acceleration.  The chains here generate
 x_{g_n} (and the underlying U, T values) recursively for any order-2 index
-recurrence g_n = s*g_{n-1} - t*g_{n-2}, by splitting the companion power
+recurrence g_n = s*g_{n-1} - t*g_{n-2}.  With alpha a root of t^2 - p*t + q,
+alpha^g = T_g + U_g*alpha in Z[t]/(t^2 - p*t + q), and the recurrence is the
+integer split
 
-    M^{g_n} = M^{s*g_{n-1}} * M^{-t*g_{n-2}}
+    alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t},
 
-into bilinear combinations of decimated basis sequences.
+a negative power being a power of the conjugate over a power of q.  The
+single-step ratio maps (shift, doubling, Fibonacci-index step) are
+cross-multiplied integer formulas in the numerators and denominators of
+their inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from typing import NamedTuple
 from .core import (
     LinRecSequence,
     RecurrenceParams,
-    _basis_ut_raw,
     _check_index,
     _coprime_fraction,
     _pair,
     _reduced,
-    companion_power,
+    _ring_mul,
+    _ring_pow,
     fibonacci,
 )
 from .errors import DegenerateRatio, InverseUnavailable
@@ -55,6 +60,16 @@ def _ratio_pair(params: RecurrenceParams, n: int, max_index: int | None) -> tupl
     return u_prev, u_n
 
 
+def _bounded_fraction(num: int, den: int, bound: int) -> Fraction:
+    """Fraction(num, den), given that gcd(num, den) divides bound.
+
+    The gcd is taken against bound, in time linear in the size of the pair
+    when bound is small; bound = 0 (no bound known) is one full gcd.
+    """
+    g = gcd(gcd(bound, num), den)
+    return _coprime_fraction(num // g, den // g)
+
+
 def general_ratio_y(
     seq: LinRecSequence, n: int, max_index: int | None = None
 ) -> Fraction:
@@ -72,32 +87,46 @@ def general_ratio_y(
     if a_prev == 0:
         raise DegenerateRatio(f"a_{n - 1} = 0, ratio a_{n}/a_{n - 1} undefined")
     # (a_n, a_{n-1}) is (U_n, U_{n-1}) times an integer matrix of determinant
-    # det; when those U terms are coprime, every common factor of the pair
-    # divides det, so gcds against the small det find it in linear time
-    # (det = 0 degrades to the full gcd).
+    # a1^2 - p*a0*a1 + q*a0^2; when those U terms are coprime, every common
+    # factor of the pair divides it.
     if gcd(p, q) == 1:
-        det = a1 * a1 - p * a0 * a1 + q * a0 * a0
-        g = gcd(gcd(a_n, det), a_prev)
-        return _coprime_fraction(a_n // g, a_prev // g)
+        return _bounded_fraction(a_n, a_prev, a1 * a1 - p * a0 * a1 + q * a0 * a0)
     return Fraction(a_n, a_prev)
 
 
 def shift_ratio(
     params: RecurrenceParams, x_n: Fraction, x_m1: Fraction
 ) -> Fraction:
-    """x_{n+m} from x_n and x_{m+1}: (x_{m+1}*x_n - q) / (x_n + x_{m+1} - p)."""
-    denom = x_n + x_m1 - params.p
-    if denom == 0:
+    """x_{n+m} from x_n and x_{m+1}: (x_{m+1}*x_n - q) / (x_n + x_{m+1} - p).
+
+    For x_{m+1} = a/b the cross-multiplied pair is the integer matrix
+    [[a, -q*b], [b, a - p*b]] applied to x_n = n/d, so its common factor
+    divides the determinant a^2 - p*a*b + q*b^2 (for a ratio x_{m+1}, that
+    is q^m) and one gcd against it finds the factor.
+    """
+    p, q = params.p, params.q
+    n, d = x_n.as_integer_ratio()
+    a, b = x_m1.as_integer_ratio()
+    den = n * b + (a - p * b) * d
+    if den == 0:
         raise DegenerateRatio("shift denominator x_n + x_{m+1} - p vanished")
-    return (x_m1 * x_n - params.q) / denom
+    return _bounded_fraction(n * a - q * b * d, den, a * (a - p * b) + q * b * b)
 
 
 def double_ratio(params: RecurrenceParams, x_n: Fraction) -> Fraction:
-    """x_{2n} from x_n: (2q*x_n - p*x_n^2) / (q - x_n^2)."""
-    denom = params.q - x_n * x_n
-    if denom == 0:
+    """x_{2n} from x_n: (2q*x_n - p*x_n^2) / (q - x_n^2).
+
+    For x_n = n/d the cross-multiplied pair (2q*n*d - p*n^2, q*d^2 - n^2) is
+    two binary quadratic forms in coprime (n, d), so its common factor
+    divides their resultant q^2*D (D = p^2 - 4q), and one gcd against q^2*D
+    reduces it.
+    """
+    p, q = params.p, params.q
+    n, d = x_n.as_integer_ratio()
+    den = q * d * d - n * n
+    if den == 0:
         raise DegenerateRatio("doubling denominator q - x_n^2 vanished")
-    return (2 * params.q * x_n - params.p * x_n * x_n) / denom
+    return _bounded_fraction((2 * q * d - p * n) * n, den, q * q * (p * p - 4 * q))
 
 
 def fibonacci_index_accel(
@@ -106,13 +135,18 @@ def fibonacci_index_accel(
     """Next ratio along Fibonacci-spaced indices.
 
     Given x_a = x_{F_{n-1}} and x_b = x_{F_{n-2}}, returns
-    x_{F_n} = (q*x_a + q*x_b - p*x_a*x_b) / (q - x_a*x_b).
+    x_{F_n} = (q*x_a + q*x_b - p*x_a*x_b) / (q - x_a*x_b).  With x_b = c/e
+    the cross-multiplied pair is [[q*e - p*c, q*c], [-c, q*e]] applied to
+    x_a, of determinant q*(c^2 - p*c*e + q*e^2), so one gcd against it
+    reduces the result (as in shift_ratio).
     """
     q, p = params.q, params.p
-    denom = q - x_a * x_b
-    if denom == 0:
+    n, d = x_a.as_integer_ratio()
+    c, e = x_b.as_integer_ratio()
+    den = q * d * e - n * c
+    if den == 0:
         raise DegenerateRatio("Fibonacci-step denominator q - x_a*x_b vanished")
-    return (q * x_a + q * x_b - p * x_a * x_b) / denom
+    return _bounded_fraction(n * (q * e - p * c) + q * c * d, den, q * (c * (c - p * e) + q * e * e))
 
 
 @dataclass(frozen=True)
@@ -156,23 +190,23 @@ def accelerate_general(
 ) -> list[AccelerationEntry]:
     """Ratios (and U, T values) along the index subsequence g.
 
-    Entries 0 and 1 are evaluated directly at g_0 = i and g_1 = j.  For
-    n >= 2, with M^s = [[a1, a2], [a3, a4]] and M^{-t} = [[b1, b2], [b3, b4]],
-    the split M^{g_n} = M^{s*g_{n-1}} * M^{-t*g_{n-2}} yields
+    Entries 0 and 1 are evaluated directly at g_0 = i and g_1 = j.  Every
+    entry carries alpha^{g_n} = T_{g_n} + U_{g_n}*alpha in Z[t]/(t^2 - p*t + q)
+    (alpha a root of t^2 - p*t + q), and for n >= 2 the index recurrence
+    g_n = s*g_{n-1} - t*g_{n-2} is the integer split
 
-        U_{g_n} = a2*U'T'' + b2*T'U'' + (a1*b2 + a2*b4)*U'U''
-        T_{g_n} = T'T'' + a1*U'T'' + b1*T'U'' + (a1*b1 + a2*b3)*U'U''
+        alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}.
 
-    where U', T' are the s-decimated basis values at g_{n-1} and U'', T''
-    the (-t)-decimated ones at g_{n-2}.  The ratio x_{g_n} is assembled from
-    the scaled variables x' = -q*U'/T', x'' = -q*U''/T'' as
-
-        x_{g_n} = (q^2*a2*x' + q^2*b2*x'' - q*(a1*b2 + a2*b4)*x'*x'')
-                  / (q^2 - q*a1*x' - q*b1*x'' + (a1*b1 + a2*b3)*x'*x'')
+    A negative power of alpha^g is the matching power of its conjugate
+    beta^g = (T_g + p*U_g) - U_g*alpha, divided by q^g (alpha*beta = q); the
+    product is divided exactly by q^{t*g_{n-2}} (and by q^{-s*g_{n-1}} when
+    s < 0).  The ratio is x_{g_n} = U_{g_n} / U_{g_n - 1}, with
+    U_{g_n - 1} = -T_{g_n} / q; DegenerateRatio is raised exactly when that
+    vanishes, as in ratio_x.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    q = params.q
+    p, q = params.p, params.q
     if q == 0:
         raise InverseUnavailable("acceleration needs q != 0")
     if g.i < 2 or g.j < 2:
@@ -184,35 +218,42 @@ def accelerate_general(
     if count <= 2:
         return entries[:count]
 
-    ms = companion_power(params, g.s, max_index)
-    mt = companion_power(params, -g.t, max_index)
-    a1, a2, a3, a4 = ms.e11, ms.e12, ms.e21, ms.e22
-    b1, b2, b3, b4 = mt.e11, mt.e12, mt.e21, mt.e22
-    # Decimated coefficients: trace and determinant of M^s resp. M^{-t}.
-    ps, qs = a1 + a4, Fraction(q) ** g.s
-    pt, qt = b1 + b4, Fraction(q) ** (-g.t)
-
+    # The step exponents are held to the cap like the indices.
+    _check_index(g.s, max_index)
+    _check_index(g.t, max_index)
+    frac = _reduced(p, q)
+    # alpha^{g_{n-2}} and alpha^{g_{n-1}} as (T, U)
+    power2, power1 = ((e.t.numerator, e.u.numerator) for e in entries)
     for n in range(2, count):
-        idx = g.s * entries[n - 1].index - g.t * entries[n - 2].index
+        g1, g2 = entries[n - 1].index, entries[n - 2].index
+        idx = g.s * g1 - g.t * g2
         if idx < 2:
             raise ValueError(f"generated index g_{n} = {idx} is < 2")
         _check_index(idx, max_index)
-
-        u1, t1 = _basis_ut_raw(ps, qs, entries[n - 1].index)
-        u2, t2 = _basis_ut_raw(pt, qt, entries[n - 2].index)
-        if t1 == 0 or t2 == 0:
-            raise DegenerateRatio(f"scaled ratio undefined while producing g_{n} = {idx}")
-        u_idx = a2 * u1 * t2 + b2 * t1 * u2 + (a1 * b2 + a2 * b4) * u1 * u2
-        t_idx = t1 * t2 + a1 * u1 * t2 + b1 * t1 * u2 + (a1 * b1 + a2 * b3) * u1 * u2
-
-        xs = Fraction(-q) * u1 / t1
-        xt = Fraction(-q) * u2 / t2
-        num = q * q * a2 * xs + q * q * b2 * xt - q * (a1 * b2 + a2 * b4) * xs * xt
-        den = q * q - q * a1 * xs - q * b1 * xt + (a1 * b1 + a2 * b3) * xs * xt
-        if den == 0:
-            raise DegenerateRatio(f"acceleration denominator vanished at g_{n} = {idx}")
-        entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), num / den))
+        a, k1 = _scaled_power(p, q, power1, g.s)
+        b, k2 = _scaled_power(p, q, power2, -g.t)
+        t_idx, u_idx = _ring_mul(p, q, a, b)
+        excess = k1 * g1 + k2 * g2  # the product is q^excess * alpha^{g_n}
+        if excess:
+            scale = q**excess
+            t_idx, u_idx = t_idx // scale, u_idx // scale
+        if t_idx == 0:
+            raise DegenerateRatio(f"U_{idx - 1} = 0, ratio x_{idx} undefined")
+        power2, power1 = power1, (t_idx, u_idx)
+        entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), frac(u_idx, -t_idx // q)))
     return entries
+
+
+def _scaled_power(p: int, q: int, power: tuple[int, int], m: int) -> tuple[tuple[int, int], int]:
+    """(alpha^g)^m for power = alpha^g and any integer m, as (q^{k*g} * alpha^{m*g}, k).
+
+    k = 0 for m >= 0; for m < 0, k = -m and the element is the (-m)-th power
+    of the conjugate beta^g = q^g * alpha^{-g}.
+    """
+    if m >= 0:
+        return _ring_pow(p, q, power, m), 0
+    t, u = power
+    return _ring_pow(p, q, (t + p * u, -u), -m), -m
 
 
 def arithmetic_index_accel(
@@ -224,60 +265,41 @@ def arithmetic_index_accel(
 ) -> list[AccelerationEntry]:
     """Ratios along the arithmetic index progression g_n = k*n + h.
 
-    Generated by the recurrence g = W(h, h+k, 2, 1), tracking (U, T) through
-    the q^{-g_{n-2}}-scaled split M^{g_n} = M^{2*g_{n-1}} * M^{-g_{n-2}}:
-
-        U_{g_n} = (q*U1^2*U2 + 2*T1*U1*T2 + p*U1^2*T2 - U2*T1^2) / q^{g_{n-2}}
-        T_{g_n} = (T1^2*T2 + p*T1^2*U2 - q*T2*U1^2 + 2q*T1*U1*U2) / q^{g_{n-2}}
-
-    with (U1, T1) at g_{n-1} and (U2, T2) at g_{n-2}, and the ratio follows
-
-        x_{g_n} = (x1^2*x2 + 2q*x1 - p*x1^2 - q*x2)
-                  / (q - p*x2 - x1^2 + 2*x1*x2).
+    This is accelerate_general on g = W(h, h+k, 2, 1), so each step is
+    alpha^{g_n} = (alpha^{g_{n-1}})^2 * beta^{g_{n-2}} / q^{g_{n-2}}.
+    The entry at g_0 = h is evaluated before g_1 = h + k is refused for
+    being < 2, so count = 1 never looks at h + k.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    p, q = params.p, params.q
-    if q == 0:
+    if params.q == 0:
         raise InverseUnavailable("arithmetic-index acceleration needs q != 0")
     if h < 2:
         raise ValueError(f"start index h must be >= 2, got {h}")
-
-    entries = []
-    for n in range(count):
-        idx = k * n + h
-        if n < 2:
-            entries.append(_seed_entry(params, idx, max_index))
-            continue
-        if idx < 2:
-            raise ValueError(f"generated index g_{n} = {idx} is < 2")
-        _check_index(idx, max_index)
-        prev, prev2 = entries[n - 1], entries[n - 2]
-        u1, t1, u2, t2 = prev.u, prev.t, prev2.u, prev2.t
-        scale = Fraction(1, q ** prev2.index)
-        u_idx = scale * (q * u1 * u1 * u2 + 2 * t1 * u1 * t2 + p * u1 * u1 * t2 - u2 * t1 * t1)
-        t_idx = scale * (t1 * t1 * t2 + p * t1 * t1 * u2 - q * t2 * u1 * u1 + 2 * q * t1 * u1 * u2)
-        x1, x2 = prev.x, prev2.x
-        den = q - p * x2 - x1 * x1 + 2 * x1 * x2
-        if den == 0:
-            raise DegenerateRatio(f"arithmetic acceleration denominator vanished at g_{n} = {idx}")
-        x_idx = (x1 * x1 * x2 + 2 * q * x1 - p * x1 * x1 - q * x2) / den
-        entries.append(AccelerationEntry(idx, u_idx, t_idx, x_idx))
+    if count > 1 and h + k >= 2:
+        return accelerate_general(params, IndexSequenceParams(h, h + k, 2, 1), count, max_index)
+    entries = [_seed_entry(params, h, max_index)]
+    if count > 1:
+        raise ValueError(f"acceleration index {h + k} is < 2")
     return entries
+
+
+def _fib_pair(m: int) -> tuple[int, int]:
+    """(F_{m-1}, F_m) for m >= 1, from one pair evaluation."""
+    return _pair(1, -1, m - 1)
 
 
 def verify_nested_fibonacci_identity(n: int, max_index: int | None = None) -> bool:
     """Check F_{F_n} = F_{F_{n-1}}*F_{F_{n-2}-1} + F_{F_{n-1}-1}*F_{F_{n-2}} + F_{F_{n-1}}*F_{F_{n-2}}."""
     if n < 3:
         raise ValueError(f"identity defined for n >= 3, got {n}")
-    fa, fb, fc = fibonacci(n, max_index), fibonacci(n - 1, max_index), fibonacci(n - 2, max_index)
-    lhs = fibonacci(fa, max_index)
-    rhs = (
-        fibonacci(fb, max_index) * fibonacci(fc - 1, max_index)
-        + fibonacci(fb - 1, max_index) * fibonacci(fc, max_index)
-        + fibonacci(fb, max_index) * fibonacci(fc, max_index)
-    )
-    return lhs == rhs
+    _check_index(n, max_index)
+    fc, fb = _fib_pair(n - 1)
+    lhs = fibonacci(fb + fc, max_index)
+    # F_{n-1}, F_{n-2} <= F_n, which fibonacci() has held to the cap.
+    b_prev, b = _fib_pair(fb)
+    c_prev, c = _fib_pair(fc)
+    return lhs == b * c_prev + b_prev * c + b * c
 
 
 def verify_fkn_identity(k: int, n: int, max_index: int | None = None) -> bool:
@@ -289,10 +311,9 @@ def verify_fkn_identity(k: int, n: int, max_index: int | None = None) -> bool:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 2:
         raise ValueError(f"identity defined for n >= 2, got {n}")
-    f1 = fibonacci(k * (n - 1), max_index)
-    f1m = fibonacci(k * (n - 1) - 1, max_index)
-    f2 = fibonacci(k * (n - 2), max_index)
-    f2m = fibonacci(k * (n - 2) - 1, max_index)
+    _check_index(k * (n - 1), max_index)
+    f1m, f1 = _fib_pair(k * (n - 1))
+    f2m, f2 = _fib_pair(k * (n - 2)) if n > 2 else (1, 0)  # (F_{-1}, F_0)
     sign = -1 if (k * (n - 2)) % 2 else 1
     rhs = sign * (-f1 * f1 * f2 + 2 * f1 * f1m * f2m + f1 * f1 * f2m - f2 * f1m * f1m)
     return fibonacci(k * n, max_index) == rhs
@@ -302,7 +323,9 @@ def verify_cubic_fibonacci_identity(n: int, max_index: int | None = None) -> boo
     """Check F_n = (-1)^n * (-F_{n-1}^2 F_{n-2} + 2 F_{n-1} F_{n-2} F_{n-3} + F_{n-1}^2 F_{n-3} - F_{n-2}^3)."""
     if n < 3:
         raise ValueError(f"identity defined for n >= 3, got {n}")
-    f1, f2, f3 = fibonacci(n - 1, max_index), fibonacci(n - 2, max_index), fibonacci(n - 3, max_index)
+    _check_index(n - 1, max_index)
+    f2, f1 = _fib_pair(n - 1)
+    f3 = f1 - f2
     sign = -1 if n % 2 else 1
     rhs = sign * (-f1 * f1 * f2 + 2 * f1 * f2 * f3 + f1 * f1 * f3 - f2 * f2 * f2)
     return fibonacci(n, max_index) == rhs

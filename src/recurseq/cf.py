@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import RecurrenceParams, _check_index, _pair, _reduced, fibonacci
+from .core import RecurrenceParams, _check_index, _pair, _reduced, _ring_mul, _ring_pow
 from .errors import DegenerateConvergent, NonRealRoots
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -209,11 +209,9 @@ def quad_cf_convergent(
     return _reduced(qcf.b, -qcf.a * qcf.c)(numer, qcf.a * denom)
 
 
-_METHOD_INDEX = {
-    "secant": lambda n: fibonacci(n + 2) - 1,
-    "newton": lambda n: 2**n - 1,
-    "halley": lambda n: 3**n - 1,
-}
+# The power of alpha^k each method's step takes: Newton k -> 2k, Halley
+# k -> 3k; secant (None) multiplies the last two powers, k_n = k_{n-1} + k_{n-2}.
+_METHOD_POWER = {"secant": None, "newton": 2, "halley": 3}
 
 
 def method_subsequence(
@@ -227,17 +225,37 @@ def method_subsequence(
     The n-th secant/Newton/Halley iterate for the larger-modulus root of
     a*t^2 - b*t - c (seeded from C_0, plus C_1 for secant) equals the
     convergent at index F_{n+2}-1, 2^n - 1, or 3^n - 1 respectively.
+
+    The chain steps alpha^k = T_k + sigma_k*alpha in Z[t]/(t^2 - b*t - a*c)
+    from k = 1, one method step per entry, and reads each value as
+    C_{k-1} = sigma_{k+1} / (a*sigma_k) with sigma_{k+1} = b*sigma_k + T_k,
+    reduced as in quad_cf_convergent.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     try:
-        index_of = _METHOD_INDEX[method]
+        m = _METHOD_POWER[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; expected secant, newton, or halley") from None
     disc = qcf.b * qcf.b + 4 * qcf.a * qcf.c
     if disc <= 0:
         raise NonRealRoots(f"b^2 + 4ac = {disc} <= 0: the continued fraction has no real target")
-    return [
-        (index_of(n), quad_cf_convergent(qcf, index_of(n), max_index))
-        for n in range(count)
-    ]
+    p, q = qcf.b, -qcf.a * qcf.c
+    frac = _reduced(p, q)
+    k = k_prev = 1  # secant starts from k_{-1} = F_1 and k_0 = F_2
+    power = power_prev = (0, 1)  # alpha^1
+    _check_index(k, max_index)
+    out = []
+    for n in range(count):
+        if n:
+            k, k_prev = (k * m if m else k + k_prev), k
+            _check_index(k, max_index)
+            power, power_prev = (
+                _ring_pow(p, q, power, m) if m else _ring_mul(p, q, power, power_prev)
+            ), power
+        t, sigma = power
+        if sigma == 0:
+            raise DegenerateConvergent(f"sigma_{k} = 0, convergent C_{k - 1} undefined")
+        _check_index(k + 1, max_index)
+        out.append((k - 1, frac(t + p * sigma, qcf.a * sigma)))
+    return out

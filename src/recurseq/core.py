@@ -11,6 +11,9 @@ Everything is derived from the single pair (U_n, U_{n+1}), evaluated in
 O(log n) steps by the doubling rule U_{2k} = U_k(2U_{k+1} - pU_k),
 U_{2k+1} = U_{k+1}^2 - qU_k^2: T_n = U_{n+1} - pU_n, and the powers of the
 companion matrix M = [[0, 1], [-q, p]] are M^n = [[T_n, U_n], [-qU_n, U_{n+1}]].
+The same pair is alpha^n = T_n + U_n*alpha in Z[t]/(t^2 - p*t + q), alpha a
+root; _ring_mul and _ring_pow multiply and power such elements for the
+acceleration chains, the convergent subsequences and the root steps.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class Matrix2:
         return self.e11 * self.e22 - self.e12 * self.e21
 
 
-def _pair(p: Exact, q: Exact, n: int) -> tuple[Exact, Exact]:
-    """(U_n, U_{n+1}) for n >= 0, for integer or rational coefficients.
+def _pair(p: int, q: int, n: int) -> tuple[int, int]:
+    """(U_n, U_{n+1}) for n >= 0.
 
     Walks the bits of n from the top, doubling k -> 2k and stepping
     k -> k+1 where the bit is set: three full-size products per bit.
@@ -97,10 +100,39 @@ def _pair(p: Exact, q: Exact, n: int) -> tuple[Exact, Exact]:
     return u, v
 
 
-def _basis_ut_raw(p: Exact, q: Exact, n: int) -> tuple[Exact, Exact]:
-    """(U_n, T_n) for n >= 0, valid for integer or rational coefficients."""
+def _basis_ut_raw(p: int, q: int, n: int) -> tuple[int, int]:
+    """(U_n, T_n) for n >= 0."""
     u, v = _pair(p, q, n)
     return u, v - p * u
+
+
+# Elements e0 + e1*t of Z[t]/(t^2 - p*t + q) are pairs (e0, e1).  For alpha a
+# root of t^2 - p*t + q, alpha^n = T_n + U_n*alpha; its conjugate
+# beta^n = (T_n + p*U_n) - U_n*alpha, and alpha^n * beta^n = q^n.
+
+
+def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a*b in Z[t]/(t^2 - p*t + q), with t^2 = p*t - q: three full-size products."""
+    a0, a1 = a
+    b0, b1 = b
+    m0, m1 = a0 * b0, a1 * b1
+    return m0 - q * m1, (a0 + a1) * (b0 + b1) - m0 + (p - 1) * m1
+
+
+def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
+    """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply.
+
+    A squaring costs three full-size products: (e0 + e1*t)^2 =
+    (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.
+    """
+    if m == 0:
+        return 1, 0
+    e0, e1 = a
+    for bit in bin(m)[3:]:
+        e0, e1 = e0 * e0 - q * (e1 * e1), e1 * (2 * e0 + p * e1)
+        if bit == "1":
+            e0, e1 = _ring_mul(p, q, (e0, e1), a)
+    return e0, e1
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:

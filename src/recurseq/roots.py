@@ -12,7 +12,8 @@ t^2 - p*t + q, every method is the power map z -> z^m (m = 2 for Newton, 3
 for Halley, d+1 for Householder of order d; secant is z -> z1*z2), the
 classical Koenig/Householder conjugacy.  Newton, Halley and Householder are
 therefore computed by one integer engine, _power_step, which raises
-(n - p*d) + d*t to the m-th power in Z[t]/(t^2 - p*t + q) for x = n/d;
+(n - p*d) + d*t to the m-th power in Z[t]/(t^2 - p*t + q) for x = n/d
+(with core's ring power);
 secant is one cross-multiplied fraction.  Every step is exact.
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .core import _coprime_fraction
+from .core import _coprime_fraction, _ring_pow
 from .errors import DegenerateStep, NonRealRoots, NoProgress
 from .formatting import format_decimal
 
@@ -96,13 +97,7 @@ def _power_step(p: int, q: int, a: int, y, m: int, degenerate: str) -> Fraction:
     n, d = y.as_integer_ratio()
     g = gcd(a, d)
     n, d = a // g * n, d // g
-    u = n - p * d
-    e0, e1 = u, d  # w^k = e0 + e1*t, from k = 1 up the bits of m
-    for bit in bin(m)[3:]:
-        # Squaring with t^2 = p*t - q: three full-size products.
-        e0, e1 = e0 * e0 - q * (e1 * e1), e1 * (2 * e0 + p * e1)
-        if bit == "1":
-            e0, e1 = e0 * u - q * (e1 * d), e0 * d + e1 * n
+    e0, e1 = _ring_pow(p, q, (n - p * d, d), m)
     if e1 == 0:
         raise DegenerateStep(degenerate)
     num, den = e0 + p * e1, e1
