@@ -56,8 +56,13 @@ def _ratio_pair(params: RecurrenceParams, n: int, max_index: int | None) -> tupl
     _check_index(n - 1, max_index)
     u_prev, u_n = _pair(params.p, params.q, n - 1)
     if u_prev == 0:
-        raise DegenerateRatio(f"U_{n - 1} = 0, ratio x_{n} undefined")
+        raise _vanished(n)
     return u_prev, u_n
+
+
+def _vanished(n: int) -> DegenerateRatio:
+    """The error for x_n when U_{n-1} = 0."""
+    return DegenerateRatio(f"U_{n - 1} = 0, ratio x_{n} undefined (denominator vanished at index {n})")
 
 
 def _bounded_fraction(num: int, den: int, bound: int) -> Fraction:
@@ -238,7 +243,7 @@ def accelerate_general(
             scale = q**excess
             t_idx, u_idx = t_idx // scale, u_idx // scale
         if t_idx == 0:
-            raise DegenerateRatio(f"U_{idx - 1} = 0, ratio x_{idx} undefined")
+            raise _vanished(idx)
         power2, power1 = power1, (t_idx, u_idx)
         entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), frac(u_idx, -t_idx // q)))
     return entries

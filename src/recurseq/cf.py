@@ -18,8 +18,7 @@ reproduces the secant, Newton, and Halley iterates for that root.
 from __future__ import annotations
 
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import RecurrenceParams, _check_index, _pair, _reduced, _ring_mul, _ring_pow
@@ -27,11 +26,6 @@ from .errors import DegenerateConvergent, NonRealRoots
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _PERIOD_RE = re.compile(r"^period\s*=\s*(\d+)$")
-
-# Convergent chains revisit sigma prefixes (indices 3^n - 1 share all earlier
-# ones), so small indices are memoized; past this bound each value is computed
-# independently in O(log n) to keep memory bounded.
-_SIGMA_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -162,8 +156,6 @@ class PeriodicQuadCF:
     a: int
     b: int
     c: int
-    _sigma: list = field(default_factory=lambda: [0, 1], init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a == 0 or self.b == 0 or self.c == 0:
@@ -176,16 +168,11 @@ class PeriodicQuadCF:
         return RationalCF(((self.b, self.a), (self.b, self.c)), period=2)
 
     def sigma(self, i: int, max_index: int | None = None) -> int:
-        """sigma_i of sigma = W(0, 1, b, -a*c), memoized for small indices."""
+        """sigma_i of sigma = W(0, 1, b, -a*c), in O(log i) products."""
         if i < 0:
             raise ValueError(f"sigma index must be >= 0, got {i}")
         _check_index(i, max_index)
-        if i > _SIGMA_MEMO_LIMIT:
-            return _pair(self.b, -self.a * self.c, i)[0]
-        with self._lock:
-            while len(self._sigma) <= i:
-                self._sigma.append(self.b * self._sigma[-1] + self.a * self.c * self._sigma[-2])
-            return self._sigma[i]
+        return _pair(self.b, -self.a * self.c, i)[0]
 
 
 def quad_cf_convergent(
@@ -198,11 +185,8 @@ def quad_cf_convergent(
     """
     if n < 0:
         raise ValueError(f"convergent index must be >= 0, got {n}")
-    if n + 2 > _SIGMA_MEMO_LIMIT:
-        _check_index(n + 1, max_index)
-        denom, numer = _pair(qcf.b, -qcf.a * qcf.c, n + 1)
-    else:
-        denom, numer = qcf.sigma(n + 1, max_index), qcf.sigma(n + 2)
+    _check_index(n + 1, max_index)
+    denom, numer = _pair(qcf.b, -qcf.a * qcf.c, n + 1)
     if denom == 0:
         raise DegenerateConvergent(f"sigma_{n + 1} = 0, convergent C_{n} undefined")
     _check_index(n + 2, max_index)

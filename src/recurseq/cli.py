@@ -64,21 +64,12 @@ class OutputFormat:
         return format_rational(value)
 
 
-def _emit_scalar(fmt: OutputFormat, value, method: str, index=None) -> None:
-    if fmt.mode == "records":
-        rec = {} if index is None else {"index": index}
-        rec["value"] = format_rational(value)
-        rec["method"] = method
-        print(json.dumps(rec))
-    else:
-        print(fmt.render(value))
-
-
-def _emit_pair(fmt: OutputFormat, index: int, value, method: str) -> None:
+def _emit_pair(fmt: OutputFormat, index: int, value, method: str, bare: bool = False) -> None:
+    """One result: a JSON record, or the text line "index value" ("value" when bare)."""
     if fmt.mode == "records":
         print(json.dumps({"index": index, "value": format_rational(value), "method": method}))
     else:
-        print(f"{index} {fmt.render(value)}")
+        print(fmt.render(value) if bare else f"{index} {fmt.render(value)}")
 
 
 def _resolve_max_index(args) -> int | None:
@@ -99,25 +90,15 @@ def _resolve_max_index(args) -> int | None:
 def cmd_seq(args, max_index) -> int:
     seq = LinRecSequence(args.a0, args.a1, RecurrenceParams(args.p, args.q))
     value = core.term(seq, args.n, max_index)
-    _emit_scalar(args.format, value, "seq", index=args.n)
+    _emit_pair(args.format, args.n, value, "seq", bare=True)
     return EXIT_OK
 
 
 def cmd_ratio(args, max_index) -> int:
-    params = RecurrenceParams(args.p, args.q)
-    seq = LinRecSequence(args.a0, args.a1, params)
-
-    def value_at(n: int) -> Fraction:
-        if (args.a0, args.a1) == (0, 1):
-            return accel.ratio_x(params, n, max_index)
-        return accel.general_ratio_y(seq, n, max_index)
-
+    seq = LinRecSequence(args.a0, args.a1, RecurrenceParams(args.p, args.q))
     _require(args.count >= 1, "--count must be >= 1")
-    if args.count == 1:
-        _emit_scalar(args.format, value_at(args.n), "ratio", index=args.n)
-    else:
-        for n in range(args.n, args.n + args.count):
-            _emit_pair(args.format, n, value_at(n), "ratio")
+    for n in range(args.n, args.n + args.count):
+        _emit_pair(args.format, n, accel.general_ratio_y(seq, n, max_index), "ratio", bare=args.count == 1)
     return EXIT_OK
 
 
@@ -126,65 +107,45 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _at_index(index: int, step, *step_args):
-    """Run one acceleration step, naming the target index if it degenerates."""
-    try:
-        return step(*step_args)
-    except DegenerateRatio as exc:
-        raise DegenerateRatio(f"{exc} (producing index {index})") from None
-
-
 def cmd_accelerate(args, max_index) -> int:
     params = RecurrenceParams(args.p, args.q)
-    fmt = args.format
     scheme = args.scheme
     _require(args.count >= 1, "--count must be >= 1")
 
-    if scheme == "double":
-        idx = args.start
-        x = accel.ratio_x(params, idx, max_index)
-        _emit_pair(fmt, idx, x, scheme)
-        for _ in range(args.count - 1):
-            idx *= 2
-            core._check_index(idx, max_index)
-            x = _at_index(idx, accel.double_ratio, params, x)
-            _emit_pair(fmt, idx, x, scheme)
-    elif scheme == "fib-index":
-        indices = [2, 3]
-        values = [accel.ratio_x(params, 2, max_index)]
-        if args.count >= 2:
-            values.append(accel.ratio_x(params, 3, max_index))
-        for n in range(2, args.count):
-            idx = indices[-1] + indices[-2]
-            core._check_index(idx, max_index)
-            indices.append(idx)
-            values.append(_at_index(idx, accel.fibonacci_index_accel, params, values[-1], values[-2]))
-        for idx, x in zip(indices, values):
-            _emit_pair(fmt, idx, x, scheme)
-    elif scheme == "arith":
-        _require(args.h is not None and args.k is not None, "arith scheme needs --h and --k")
-        for entry in accel.arithmetic_index_accel(params, args.h, args.k, args.count, max_index):
-            _emit_pair(fmt, entry.index, entry.x, scheme)
-    elif scheme == "general":
-        missing = [flag for flag in ("i", "j", "s", "t") if getattr(args, flag) is None]
-        _require(not missing, f"general scheme needs --{', --'.join(missing)}")
-        g = IndexSequenceParams(args.i, args.j, args.s, args.t)
-        for entry in accel.accelerate_general(params, g, args.count, max_index):
-            _emit_pair(fmt, entry.index, entry.x, scheme)
-    else:  # shift
+    if scheme == "shift":
         _require(args.n is not None and args.m is not None, "shift scheme needs --n and --m")
         _require(args.m >= 1, "shift offset --m must be >= 1 (x_{m+1} needs m+1 >= 2)")
         x_n = accel.ratio_x(params, args.n, max_index)
         x_m1 = accel.ratio_x(params, args.m + 1, max_index)
-        shifted = _at_index(args.n + args.m, accel.shift_ratio, params, x_n, x_m1)
-        _emit_pair(fmt, args.n + args.m, shifted, scheme)
+        try:
+            shifted = accel.shift_ratio(params, x_n, x_m1)
+        except DegenerateRatio as exc:
+            raise DegenerateRatio(f"{exc} (producing index {args.n + args.m})") from None
+        _emit_pair(args.format, args.n + args.m, shifted, scheme)
+        return EXIT_OK
+
+    if scheme == "arith":
+        _require(args.h is not None and args.k is not None, "arith scheme needs --h and --k")
+        entries = accel.arithmetic_index_accel(params, args.h, args.k, args.count, max_index)
+    else:
+        if scheme == "double":
+            g = IndexSequenceParams(args.start, 2 * args.start, 2, 0)
+        elif scheme == "fib-index":
+            g = IndexSequenceParams(2, 3, 1, -1)
+        else:  # general
+            missing = [flag for flag in ("i", "j", "s", "t") if getattr(args, flag) is None]
+            _require(not missing, f"general scheme needs --{', --'.join(missing)}")
+            g = IndexSequenceParams(args.i, args.j, args.s, args.t)
+        entries = accel.accelerate_general(params, g, args.count, max_index)
+    for entry in entries:
+        _emit_pair(args.format, entry.index, entry.x, scheme)
     return EXIT_OK
 
 
 def _trace_index(method: str, order: int, step: int) -> int:
     if method == "secant":
         return core.fibonacci(step + 2) - 1
-    base = {"newton": 2, "halley": 3}.get(method, order + 1)
+    base = cf._METHOD_POWER.get(method) or order + 1  # householder: order + 1
     return base**step - 1
 
 

@@ -16,7 +16,13 @@ class IndexCapExceeded(RecurseqError):
 
 
 class InverseUnavailable(RecurseqError):
-    """A negative companion-matrix power was requested with q = 0 (singular matrix)."""
+    """An operation that divides by q was requested with q = 0.
+
+    Negative companion-matrix powers (the matrix is singular) and the chains
+    of accelerate_general and arithmetic_index_accel, which run every chain
+    scheme of `recurseq accelerate`, need q != 0; with q = 0 the recurrence
+    is first-order and x_n = p wherever it is defined.
+    """
 
 
 class DegenerateRatio(RecurseqError):

@@ -39,9 +39,10 @@ from recurseq import (
     verify_fkn_identity,
     verify_nested_fibonacci_identity,
 )
-from recurseq.cf import _SIGMA_MEMO_LIMIT
 from recurseq.errors import RecurseqError
 from oracles import naive_fib
+
+_SIGMA_MEMO_LIMIT = 4096  # the former sigma memo bound, kept as input values
 
 
 # -- reference formulas: the former Fraction implementations ------------------
@@ -436,11 +437,6 @@ class TestMethodSubsequence:
             for count in range(1, 6):
                 assert subsequence(qcf, method, count, cap) == reference_subsequence(
                     qcf, method, count, cap)
-
-    def test_leaves_the_sigma_memo_alone(self):
-        qcf = PeriodicQuadCF(1, 3, 2)
-        method_subsequence(qcf, "halley", 8)
-        assert qcf._sigma == [0, 1]
 
 
 # -- the identity checkers ----------------------------------------------------

@@ -19,8 +19,9 @@ from recurseq import (
     quad_cf_convergent,
     ratio_x,
 )
-from recurseq.cf import _SIGMA_MEMO_LIMIT
 from oracles import naive_sequence
+
+_SIGMA_MEMO_LIMIT = 4096  # the former sigma memo bound, kept as input values
 
 nonzero = st.integers(-9, 9).filter(bool)
 
