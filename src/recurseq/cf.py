@@ -21,8 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RecurrenceParams, _check_index, _pair, _reduced, _ring_mul, _ring_pow
+from .core import _check_index, _pair, _reduced, _ring_mul, _ring_pow
 from .errors import DegenerateConvergent, NonRealRoots
+from .formatting import format_rational
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _PERIOD_RE = re.compile(r"^period\s*=\s*(\d+)$")
@@ -161,9 +162,6 @@ class PeriodicQuadCF:
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise ValueError("a, b, c must all be nonzero")
 
-    def params(self) -> RecurrenceParams:
-        return RecurrenceParams(self.b, -self.a * self.c)
-
     def to_rational_cf(self) -> RationalCF:
         return RationalCF(((self.b, self.a), (self.b, self.c)), period=2)
 
@@ -223,7 +221,9 @@ def method_subsequence(
         raise ValueError(f"unknown method {method!r}; expected secant, newton, or halley") from None
     disc = qcf.b * qcf.b + 4 * qcf.a * qcf.c
     if disc <= 0:
-        raise NonRealRoots(f"b^2 + 4ac = {disc} <= 0: the continued fraction has no real target")
+        raise NonRealRoots(
+            f"b^2 + 4ac = {format_rational(disc)} <= 0: the continued fraction has no real target"
+        )
     p, q = qcf.b, -qcf.a * qcf.c
     frac = _reduced(p, q)
     k = k_prev = 1  # secant starts from k_{-1} = F_1 and k_0 = F_2

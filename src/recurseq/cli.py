@@ -205,7 +205,7 @@ def _verify_cubic(args, max_index):
 
 
 def _verify_method_maps(args, max_index):
-    _require(args.k_max >= 2, "--k-max must be >= 2")
+    _require(args.k_max >= 2 and args.d_max >= 0, "--k-max must be >= 2 and --d-max >= 0")
     params = RecurrenceParams(args.p, args.q)
     abc = roots.QuadraticABC(1, args.p, -args.q)
     pq = roots.QuadraticPQ(args.p, args.q)
@@ -219,10 +219,9 @@ def _verify_method_maps(args, max_index):
         ]
         for name, stepped, target in checks:
             expected = accel.ratio_x(params, target, max_index)
-            yield (
-                f"method-maps {name} k={k}",
-                stepped == expected,
-                f"step gave {stepped}, ratio x_{target} = {expected}",
+            ok = stepped == expected
+            yield f"method-maps {name} k={k}", ok, None if ok else (
+                f"step gave {format_rational(stepped)}, ratio x_{target} = {format_rational(expected)}"
             )
 
 
@@ -235,13 +234,14 @@ def _verify_cf_threeway(args, max_index):
     for n in range(args.n_max + 1):
         sigma_value = cf.quad_cf_convergent(qcf, n, max_index)
         ok = direct[n].value == integer[n].value == sigma_value
-        yield (
-            f"cf-threeway n={n}",
-            ok,
-            f"direct {direct[n].value}, integer {integer[n].value}, sigma {sigma_value}",
+        yield f"cf-threeway n={n}", ok, None if ok else (
+            f"direct {format_rational(direct[n].value)}, integer {format_rational(integer[n].value)}, "
+            f"sigma {format_rational(sigma_value)}"
         )
 
 
+# Each verifier yields (label, ok, detail).  A detail that shows values is built only for
+# a failed check, through format_rational: str() refuses ints past the interpreter's digit guard.
 _VERIFIERS = {
     "nested-fib": _verify_nested_fib,
     "fkn": _verify_fkn,
@@ -364,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Exact results routinely exceed the interpreter's conversion guard
-    # (sys.maxdigits); printing our own numbers is the whole point here.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,6 +24,7 @@ from math import gcd
 from typing import Union
 
 from .errors import IndexCapExceeded, InverseUnavailable
+from .formatting import format_rational
 
 Exact = Union[int, Fraction]
 
@@ -34,7 +35,9 @@ DEFAULT_INDEX_CAP = 10_000_000
 def _check_index(n: int, max_index: int | None) -> None:
     cap = DEFAULT_INDEX_CAP if max_index is None else max_index
     if abs(n) > cap:
-        raise IndexCapExceeded(f"index {n} exceeds the evaluation cap {cap}")
+        raise IndexCapExceeded(
+            f"index {format_rational(n)} exceeds the evaluation cap {format_rational(cap)}"
+        )
 
 
 @dataclass(frozen=True)

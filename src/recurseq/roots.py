@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .core import _coprime_fraction, _ring_pow
 from .errors import DegenerateStep, NonRealRoots, NoProgress
-from .formatting import format_decimal
+from .formatting import format_decimal, format_rational
 
 
 @dataclass(frozen=True)
@@ -138,49 +137,12 @@ def halley_step(f: QuadraticPQ, y) -> Fraction:
     return _power_step(f.p, f.q, 1, y, 3, _HALLEY_DEGENERATE)
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_derivative(a):
-    return [i * c for i, c in enumerate(a)][1:] or [0]
-
-
-# Keyed by caller-supplied (p, q, d), so bounded; a miss costs O(d^2) products.
-@lru_cache(maxsize=128)
-def _inverse_derivative_polys(p, q, d):
-    """P_0..P_d with (1/f)^(k) = P_k / f^{k+1} for f = t^2 - p*t + q.
-
-    Differentiating P_{k-1}/f^k gives the integer-coefficient recurrence
-    P_k = P'_{k-1}*f - k*P_{k-1}*f'.  The order-d Householder step is
-    y + d*P_{d-1}(y)*f(y)/P_d(y); householder_step computes the same value
-    as a power map, and the tests use these polynomials as its oracle.
-    """
-    f = [q, -p, 1]
-    fp = [-p, 2]
-    polys = [(1,)]
-    for k in range(1, d + 1):
-        prev = list(polys[-1])
-        term1 = _poly_mul(_poly_derivative(prev), f)
-        term2 = _poly_mul(prev, fp)
-        width = max(len(term1), len(term2))
-        term1 += [0] * (width - len(term1))
-        term2 += [0] * (width - len(term2))
-        polys.append(tuple(t1 - k * t2 for t1, t2 in zip(term1, term2)))
-    return tuple(polys)
-
-
 def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
     """One Householder step of order d: y + d * P_{d-1}(y) * f(y) / P_d(y).
 
-    P_k is the numerator of (1/f)^(k) (see _inverse_derivative_polys); on a
-    quadratic the step is z -> z^(d+1), so d = 1 reproduces the Newton step
-    and d = 2 the Halley step exactly.
+    P_k is the numerator of (1/f)^(k) over f^(k+1); on a quadratic the step
+    is z -> z^(d+1), so d = 1 reproduces the Newton step and d = 2 the
+    Halley step exactly.
     """
     if d < 1:
         raise ValueError(f"Householder order must be >= 1, got {d}")
@@ -292,8 +254,11 @@ def approximate_root_with_trace(
     """Like approximate_root, but also returns the full list of exact iterates."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if f.discriminant() <= 0:
-        raise NonRealRoots(f"b^2 + 4ac = {f.discriminant()} <= 0: no real distinct roots")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+    disc = f.discriminant()
+    if disc <= 0:
+        raise NonRealRoots(f"b^2 + 4ac = {format_rational(disc)} <= 0: no real distinct roots")
     iterates = _iterate(f, method, digits, order, max_iterations)
     return format_decimal(iterates[-1], digits), iterates
 

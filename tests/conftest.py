@@ -1,10 +1,25 @@
 import sys
 
+import pytest
 from hypothesis import settings
 
-# Identity checks below routinely render integers with thousands of digits.
+# The criterion-11 gate and TestIntText call str() on integers past 4,300 digits
+# themselves; tests that need the interpreter's default guard use default_str_guard.
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
 settings.register_profile("recurseq", deadline=None)
 settings.load_profile("recurseq")
+
+
+@pytest.fixture
+def default_str_guard():
+    """The interpreter's default 4300-digit str(int) guard, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit guard")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

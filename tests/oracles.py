@@ -61,3 +61,38 @@ def larger_root(p, q, prec=60):
         ctx.prec = prec
         disc = Decimal(p * p - 4 * q).sqrt()
         return (Decimal(p) + disc) / 2 if p > 0 else (Decimal(p) - disc) / 2
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists (lowest degree first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def poly_derivative(a):
+    return [i * c for i, c in enumerate(a)][1:] or [0]
+
+
+def inverse_derivative_polys(p, q, d):
+    """P_0..P_d with (1/f)^(k) = P_k / f^{k+1} for f = t^2 - p*t + q.
+
+    Differentiating P_{k-1}/f^k gives the integer-coefficient recurrence
+    P_k = P'_{k-1}*f - k*P_{k-1}*f'.  The order-d Householder step is
+    y + d*P_{d-1}(y)*f(y)/P_d(y), the derivative form that the library's
+    power map is checked against.
+    """
+    f = [q, -p, 1]
+    fp = [-p, 2]
+    polys = [[1]]
+    for k in range(1, d + 1):
+        prev = polys[-1]
+        term1 = poly_mul(poly_derivative(prev), f)
+        term2 = poly_mul(prev, fp)
+        width = max(len(term1), len(term2))
+        term1 += [0] * (width - len(term1))
+        term2 += [0] * (width - len(term2))
+        polys.append([t1 - k * t2 for t1, t2 in zip(term1, term2)])
+    return polys

@@ -1,8 +1,10 @@
 """Differential tests for the large-integer path: pair doubling, gcd-free
 ratios and the decimal renderer, each against an independent reference."""
 
+import functools
+import importlib
+import pkgutil
 import random
-import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -11,9 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import recurseq
 from recurseq import (
     DegenerateRatio,
+    IndexCapExceeded,
     LinRecSequence,
+    NonRealRoots,
+    PeriodicQuadCF,
     QuadraticABC,
     RecurrenceParams,
     approximate_root,
@@ -23,11 +29,12 @@ from recurseq import (
     format_decimal,
     format_rational,
     general_ratio_y,
+    method_subsequence,
     ratio_x,
+    term,
 )
 from recurseq.core import _basis_ut_raw, _coprime_fraction, _pair, _reduced
 from recurseq.formatting import _STR_BITS, _int_text
-from recurseq.roots import _inverse_derivative_polys
 from oracles import companion_tuple, mat_mul, naive_ut, sqrt_decimal
 
 FIB = RecurrenceParams(1, -1)
@@ -201,19 +208,6 @@ class TestIntText:
             assert _int_text(-n) == str(-n)
 
 
-@pytest.fixture
-def default_str_guard():
-    """The interpreter's default 4300-digit str(int) guard, restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no int-to-str digit guard")
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def decimal_text(n: int) -> str:
     return str(Decimal(n))
 
@@ -242,5 +236,37 @@ class TestRenderingUnderDefaultGuard:
             assert abs(Decimal(text) - expected) <= Decimal(1).scaleb(-5000)
 
 
-def test_inverse_derivative_cache_is_bounded():
-    assert _inverse_derivative_polys.cache_info().maxsize is not None
+class TestTypedErrorsUnderDefaultGuard:
+    """Messages that carry a user-sized integer still raise their own type."""
+
+    def test_index_cap(self, default_str_guard):
+        with pytest.raises(IndexCapExceeded, match="exceeds the evaluation cap"):
+            term(LinRecSequence(0, 1, FIB), 10**5000)
+        with pytest.raises(IndexCapExceeded, match=f"cap {format_rational(10**5000)}$"):
+            term(LinRecSequence(0, 1, FIB), 10**5000 + 1, max_index=10**5000)
+
+    def test_non_real_root(self, default_str_guard):
+        f = QuadraticABC(10**2200, 1, -(10**2200))
+        with pytest.raises(NonRealRoots, match=format_rational(f.discriminant())):
+            approximate_root(f, "newton", 5)
+
+    def test_non_real_method_subsequence(self, default_str_guard):
+        with pytest.raises(NonRealRoots, match="no real target"):
+            method_subsequence(PeriodicQuadCF(10**2200, 1, -(10**2200)), "newton", 1)
+
+
+def test_no_module_holds_a_functools_cache():
+    """No cache keyed by user input can grow: the package keeps no functools cache."""
+    cached = []
+    for info in pkgutil.iter_modules(recurseq.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"recurseq.{info.name}")
+        for name, value in vars(module).items():
+            own_class = isinstance(value, type) and value.__module__ == module.__name__
+            members = vars(value).items() if own_class else [(name, value)]
+            for member, obj in members:
+                obj = getattr(obj, "__func__", obj)
+                if hasattr(obj, "cache_info") or isinstance(obj, functools.cached_property):
+                    cached.append(f"{info.name}.{member}")
+    assert cached == []

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from recurseq import parse_rational
+from recurseq import cf, format_rational, parse_rational, roots
 from recurseq.cli import main
 
 
@@ -204,6 +204,69 @@ class TestVerify:
         assert code == 1
         assert "FAIL nested-fib n=7" in out
         assert out.splitlines()[-1] == "FAIL 7/8"
+
+
+def run_guarded(capsys, *argv):
+    """run, then check that main left the int-to-str digit guard where the test set it."""
+    result = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == 4300, "main changed the int-to-str digit guard"
+    return result
+
+
+class TestUnderDefaultStrGuard:
+    """main leaves the interpreter's 4300-digit guard alone and works under it."""
+
+    def test_main_leaves_the_guard_unchanged(self, capsys, default_str_guard):
+        assert run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "10")[:2] == (0, "55\n")
+
+    def test_integer_argument_past_the_guard_exit_2(self, capsys, default_str_guard):
+        assert run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "1" + "0" * 4300)[0] == 2
+        assert run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "1" + "0" * 4299)[0] == 3
+
+    def test_non_real_root_with_huge_coefficients_exit_5(self, capsys, default_str_guard):
+        big = "1" + "0" * 2200
+        code, _, err = run_guarded(capsys, "root", "-a", big, "-b", "1", "-c", "-" + big, "--method", "newton",
+                                   "--digits", "5")
+        assert code == 5 and "no real distinct roots" in err
+
+    def test_cf_threeway_with_huge_b(self, capsys, default_str_guard):
+        code, out, _ = run_guarded(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1" + "0" * 100, "-c", "1",
+                                   "--n-max", "50")
+        assert (code, out) == (0, "PASS 51/51\n")
+
+    def test_method_maps_failure_prints_full_values(self, capsys, monkeypatch, default_str_guard):
+        wrong = Fraction(10**5000 + 1, 3)
+        monkeypatch.setattr(roots, "newton_step", lambda f, y: wrong)
+        code, out, _ = run_guarded(capsys, "verify", "method-maps", "--k-max", "2", "--d-max", "0")
+        assert code == 1
+        assert out.splitlines() == [
+            f"FAIL method-maps newton k=2: step gave {format_rational(wrong)}, ratio x_3 = 2",
+            "FAIL 1/2",
+        ]
+
+    def test_cf_threeway_failure_prints_full_values(self, capsys, monkeypatch, default_str_guard):
+        wrong = Fraction(-(10**5000))
+        monkeypatch.setattr(cf, "quad_cf_convergent", lambda qcf, n, max_index=None: wrong)
+        code, out, _ = run_guarded(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1", "-c", "1", "--n-max", "0")
+        assert code == 1
+        assert out.splitlines() == [
+            f"FAIL cf-threeway n=0: direct 1, integer 1, sigma {format_rational(wrong)}",
+            "FAIL 0/1",
+        ]
+
+
+class TestNegativeIterationFlags:
+    def test_negative_max_iterations_exit_2(self, capsys):
+        code, _, err = run(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5",
+                           "--max-iterations", "-1")
+        assert code == 2 and "max_iterations" in err
+        assert run(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5",
+                   "--max-iterations", "0")[0] == 4
+
+    def test_negative_d_max_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "method-maps", "--d-max", "-1")
+        assert (code, out) == (2, "") and "--d-max" in err
+        assert run(capsys, "verify", "method-maps", "--k-max", "2", "--d-max", "0")[:2] == (0, "PASS 2/2\n")
 
 
 class TestSubprocessEntryPoint:

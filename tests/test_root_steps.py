@@ -26,7 +26,7 @@ from recurseq import (
     newton_step,
     secant_step,
 )
-from recurseq.roots import _inverse_derivative_polys
+from oracles import inverse_derivative_polys
 
 
 # -- reference formulas: the steps written directly over Fraction ----------------
@@ -60,7 +60,7 @@ def poly_eval(coeffs, y):
 
 
 def ref_householder(f, y, d):
-    polys = _inverse_derivative_polys(f.p, f.q, d)
+    polys = inverse_derivative_polys(f.p, f.q, d)
     den = poly_eval(polys[d], y)
     if den == 0:
         raise DegenerateStep(f"Householder order-{d} denominator vanished")

@@ -26,8 +26,7 @@ from recurseq import (
     secant_index_sequence,
     secant_step,
 )
-from recurseq.roots import _inverse_derivative_polys
-from oracles import naive_fib
+from oracles import inverse_derivative_polys, naive_fib
 
 
 GOLDEN = QuadraticABC(1, 1, 1)  # t^2 - t - 1
@@ -102,7 +101,7 @@ class TestDerivativePolynomials:
     def test_against_symbolic_differentiation(self, d):
         t, p, q = sympy.symbols("t p q")
         f = t**2 - p * t + q
-        polys = _inverse_derivative_polys(p, q, d)
+        polys = inverse_derivative_polys(p, q, d)
         built = sum(sympy.Integer(1) * c * t**i for i, c in enumerate(polys[d]))
         expected = sympy.diff(1 / f, t, d)
         assert sympy.simplify(built / f ** (d + 1) - expected) == 0
@@ -195,6 +194,12 @@ class TestApproximateRoot:
             approximate_root(GOLDEN, "newton", 0)
         with pytest.raises(ValueError):
             QuadraticABC(0, 1, 1)
+
+    def test_rejects_negative_max_iterations(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            approximate_root_with_trace(GOLDEN, "newton", 5, max_iterations=-1)
+        with pytest.raises(NoProgress):
+            approximate_root(GOLDEN, "newton", 5, max_iterations=0)
 
 
 class TestDecimalFormatting:
