@@ -11,9 +11,9 @@ integer split
     alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t},
 
 a negative power being a power of the conjugate over a power of q.  The
-single-step ratio maps (shift, doubling, Fibonacci-index step) are
-cross-multiplied integer formulas in the numerators and denominators of
-their inputs.
+single-step ratio maps (shift, doubling, Fibonacci-index step) are one ring
+product each: the lift of x_k is alpha^(k-1), and the result is read back
+and reduced against a norm bound (see core).
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from typing import NamedTuple
 from .core import (
     LinRecSequence,
     RecurrenceParams,
+    _bounded_fraction,
     _check_index,
-    _coprime_fraction,
+    _lift,
+    _norm,
     _pair,
     _reduced,
     _ring_mul,
@@ -35,6 +37,7 @@ from .core import (
     fibonacci,
 )
 from .errors import DegenerateRatio, InverseUnavailable
+from .formatting import format_rational
 
 
 def ratio_x(
@@ -52,7 +55,7 @@ def ratio_x(
 def _ratio_pair(params: RecurrenceParams, n: int, max_index: int | None) -> tuple[int, int]:
     """(U_{n-1}, U_n), refusing n < 2 and a vanishing U_{n-1}."""
     if n < 2:
-        raise ValueError(f"ratio index must be >= 2, got {n}")
+        raise ValueError(f"ratio index must be >= 2, got {format_rational(n)}")
     _check_index(n - 1, max_index)
     u_prev, u_n = _pair(params.p, params.q, n - 1)
     if u_prev == 0:
@@ -65,38 +68,23 @@ def _vanished(n: int) -> DegenerateRatio:
     return DegenerateRatio(f"U_{n - 1} = 0, ratio x_{n} undefined (denominator vanished at index {n})")
 
 
-def _bounded_fraction(num: int, den: int, bound: int) -> Fraction:
-    """Fraction(num, den), given that gcd(num, den) divides bound.
-
-    The gcd is taken against bound, in time linear in the size of the pair
-    when bound is small; bound = 0 (no bound known) is one full gcd.
-    """
-    g = gcd(gcd(bound, num), den)
-    return _coprime_fraction(num // g, den // g)
-
-
 def general_ratio_y(
     seq: LinRecSequence, n: int, max_index: int | None = None
 ) -> Fraction:
     """Consecutive-term ratio a_n / a_{n-1} of an arbitrary sequence.
 
     Equal to the closed form (a1*x_n - a0*q) / (a0*x_n + a1 - a0*p) in the
-    ratio x_n of the U basis; it is built as one Fraction from the terms
-    a_n = a1*U_n - a0*q*U_{n-1} and a_{n-1} = a0*U_n + (a1 - a0*p)*U_{n-1}.
+    ratio x_n of the U basis: the lift of x_n times the seed s = (a1 - p*a0) + a0*t
+    reads back as a_n / a_{n-1}.  When gcd(p, q) = 1 consecutive U terms are
+    coprime, so its common factor divides N(s) = a1^2 - p*a0*a1 + q*a0^2.
     """
     p, q = seq.params.p, seq.params.q
-    a0, a1 = seq.a0, seq.a1
     u_prev, u_n = _ratio_pair(seq.params, n, max_index)
-    a_n = a1 * u_n - a0 * q * u_prev
-    a_prev = a0 * u_n + (a1 - a0 * p) * u_prev
-    if a_prev == 0:
+    seed = (seq.a1 - p * seq.a0, seq.a0)
+    e0, e1 = _ring_mul(p, q, (u_n - p * u_prev, u_prev), seed)
+    if e1 == 0:
         raise DegenerateRatio(f"a_{n - 1} = 0, ratio a_{n}/a_{n - 1} undefined")
-    # (a_n, a_{n-1}) is (U_n, U_{n-1}) times an integer matrix of determinant
-    # a1^2 - p*a0*a1 + q*a0^2; when those U terms are coprime, every common
-    # factor of the pair divides it.
-    if gcd(p, q) == 1:
-        return _bounded_fraction(a_n, a_prev, a1 * a1 - p * a0 * a1 + q * a0 * a0)
-    return Fraction(a_n, a_prev)
+    return _bounded_fraction(e0 + p * e1, e1, _norm(p, q, seed) if gcd(p, q) == 1 else 0)
 
 
 def shift_ratio(
@@ -104,34 +92,29 @@ def shift_ratio(
 ) -> Fraction:
     """x_{n+m} from x_n and x_{m+1}: (x_{m+1}*x_n - q) / (x_n + x_{m+1} - p).
 
-    For x_{m+1} = a/b the cross-multiplied pair is the integer matrix
-    [[a, -q*b], [b, a - p*b]] applied to x_n = n/d, so its common factor
-    divides the determinant a^2 - p*a*b + q*b^2 (for a ratio x_{m+1}, that
-    is q^m) and one gcd against it finds the factor.
+    The product of the lifts alpha^(n-1) and v = alpha^m, reduced against
+    N(v) (for a ratio x_{m+1}, that is q^m).
     """
     p, q = params.p, params.q
-    n, d = x_n.as_integer_ratio()
-    a, b = x_m1.as_integer_ratio()
-    den = n * b + (a - p * b) * d
-    if den == 0:
+    v = _lift(p, x_m1)
+    e0, e1 = _ring_mul(p, q, _lift(p, x_n), v)
+    if e1 == 0:
         raise DegenerateRatio("shift denominator x_n + x_{m+1} - p vanished")
-    return _bounded_fraction(n * a - q * b * d, den, a * (a - p * b) + q * b * b)
+    return _bounded_fraction(e0 + p * e1, e1, _norm(p, q, v))
 
 
 def double_ratio(params: RecurrenceParams, x_n: Fraction) -> Fraction:
     """x_{2n} from x_n: (2q*x_n - p*x_n^2) / (q - x_n^2).
 
-    For x_n = n/d the cross-multiplied pair (2q*n*d - p*n^2, q*d^2 - n^2) is
-    two binary quadratic forms in coprime (n, d), so its common factor
-    divides their resultant q^2*D (D = p^2 - 4q), and one gcd against q^2*D
-    reduces it.
+    The square of the lift alpha^(n-1) times t = alpha, reduced against q*D
+    (D = p^2 - 4q): the square's common factor is made of primes of D, and
+    the product by t adds a factor of N(t) = q.
     """
     p, q = params.p, params.q
-    n, d = x_n.as_integer_ratio()
-    den = q * d * d - n * n
-    if den == 0:
+    e0, e1 = _ring_mul(p, q, _ring_pow(p, q, _lift(p, x_n), 2), (0, 1))
+    if e1 == 0:
         raise DegenerateRatio("doubling denominator q - x_n^2 vanished")
-    return _bounded_fraction((2 * q * d - p * n) * n, den, q * q * (p * p - 4 * q))
+    return _bounded_fraction(e0 + p * e1, e1, q * (p * p - 4 * q))
 
 
 def fibonacci_index_accel(
@@ -140,18 +123,16 @@ def fibonacci_index_accel(
     """Next ratio along Fibonacci-spaced indices.
 
     Given x_a = x_{F_{n-1}} and x_b = x_{F_{n-2}}, returns
-    x_{F_n} = (q*x_a + q*x_b - p*x_a*x_b) / (q - x_a*x_b).  With x_b = c/e
-    the cross-multiplied pair is [[q*e - p*c, q*c], [-c, q*e]] applied to
-    x_a, of determinant q*(c^2 - p*c*e + q*e^2), so one gcd against it
-    reduces the result (as in shift_ratio).
+    x_{F_n} = (q*x_a + q*x_b - p*x_a*x_b) / (q - x_a*x_b): the product of
+    the lifts and t, alpha^(F_{n-1}-1) * v * alpha with v = alpha^(F_{n-2}-1),
+    reduced against N(v*t) = q*N(v).
     """
-    q, p = params.q, params.p
-    n, d = x_a.as_integer_ratio()
-    c, e = x_b.as_integer_ratio()
-    den = q * d * e - n * c
-    if den == 0:
+    p, q = params.p, params.q
+    v = _lift(p, x_b)
+    e0, e1 = _ring_mul(p, q, _ring_mul(p, q, _lift(p, x_a), v), (0, 1))
+    if e1 == 0:
         raise DegenerateRatio("Fibonacci-step denominator q - x_a*x_b vanished")
-    return _bounded_fraction(n * (q * e - p * c) + q * c * d, den, q * (c * (c - p * e) + q * e * e))
+    return _bounded_fraction(e0 + p * e1, e1, q * _norm(p, q, v))
 
 
 @dataclass(frozen=True)
@@ -179,7 +160,7 @@ def _seed_entry(
     params: RecurrenceParams, idx: int, max_index: int | None
 ) -> AccelerationEntry:
     if idx < 2:
-        raise ValueError(f"acceleration index {idx} is < 2")
+        raise ValueError(f"acceleration index {format_rational(idx)} is < 2")
     _check_index(idx, max_index)
     u_prev, u = _ratio_pair(params, idx, max_index)
     # T_idx = U_{idx+1} - p*U_idx = -q*U_{idx-1}
@@ -210,12 +191,14 @@ def accelerate_general(
     vanishes, as in ratio_x.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     p, q = params.p, params.q
     if q == 0:
         raise InverseUnavailable("acceleration needs q != 0")
     if g.i < 2 or g.j < 2:
-        raise ValueError(f"initial indices must be >= 2, got ({g.i}, {g.j})")
+        raise ValueError(
+            f"initial indices must be >= 2, got ({format_rational(g.i)}, {format_rational(g.j)})"
+        )
 
     entries = [_seed_entry(params, g.i, max_index)]
     if count >= 2:
@@ -233,7 +216,7 @@ def accelerate_general(
         g1, g2 = entries[n - 1].index, entries[n - 2].index
         idx = g.s * g1 - g.t * g2
         if idx < 2:
-            raise ValueError(f"generated index g_{n} = {idx} is < 2")
+            raise ValueError(f"generated index g_{n} = {format_rational(idx)} is < 2")
         _check_index(idx, max_index)
         a, k1 = _scaled_power(p, q, power1, g.s)
         b, k2 = _scaled_power(p, q, power2, -g.t)
@@ -276,16 +259,16 @@ def arithmetic_index_accel(
     being < 2, so count = 1 never looks at h + k.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     if params.q == 0:
         raise InverseUnavailable("arithmetic-index acceleration needs q != 0")
     if h < 2:
-        raise ValueError(f"start index h must be >= 2, got {h}")
+        raise ValueError(f"start index h must be >= 2, got {format_rational(h)}")
     if count > 1 and h + k >= 2:
         return accelerate_general(params, IndexSequenceParams(h, h + k, 2, 1), count, max_index)
     entries = [_seed_entry(params, h, max_index)]
     if count > 1:
-        raise ValueError(f"acceleration index {h + k} is < 2")
+        raise ValueError(f"acceleration index {format_rational(h + k)} is < 2")
     return entries
 
 
@@ -297,7 +280,7 @@ def _fib_pair(m: int) -> tuple[int, int]:
 def verify_nested_fibonacci_identity(n: int, max_index: int | None = None) -> bool:
     """Check F_{F_n} = F_{F_{n-1}}*F_{F_{n-2}-1} + F_{F_{n-1}-1}*F_{F_{n-2}} + F_{F_{n-1}}*F_{F_{n-2}}."""
     if n < 3:
-        raise ValueError(f"identity defined for n >= 3, got {n}")
+        raise ValueError(f"identity defined for n >= 3, got {format_rational(n)}")
     _check_index(n, max_index)
     fc, fb = _fib_pair(n - 1)
     lhs = fibonacci(fb + fc, max_index)
@@ -313,9 +296,9 @@ def verify_fkn_identity(k: int, n: int, max_index: int | None = None) -> bool:
     The n = 2 boundary reaches F_{-1} = 1 through the negative-index extension.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {format_rational(k)}")
     if n < 2:
-        raise ValueError(f"identity defined for n >= 2, got {n}")
+        raise ValueError(f"identity defined for n >= 2, got {format_rational(n)}")
     _check_index(k * (n - 1), max_index)
     f1m, f1 = _fib_pair(k * (n - 1))
     f2m, f2 = _fib_pair(k * (n - 2)) if n > 2 else (1, 0)  # (F_{-1}, F_0)
@@ -327,7 +310,7 @@ def verify_fkn_identity(k: int, n: int, max_index: int | None = None) -> bool:
 def verify_cubic_fibonacci_identity(n: int, max_index: int | None = None) -> bool:
     """Check F_n = (-1)^n * (-F_{n-1}^2 F_{n-2} + 2 F_{n-1} F_{n-2} F_{n-3} + F_{n-1}^2 F_{n-3} - F_{n-2}^3)."""
     if n < 3:
-        raise ValueError(f"identity defined for n >= 3, got {n}")
+        raise ValueError(f"identity defined for n >= 3, got {format_rational(n)}")
     _check_index(n - 1, max_index)
     f2, f1 = _fib_pair(n - 1)
     f3 = f1 - f2

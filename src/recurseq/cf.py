@@ -48,7 +48,7 @@ class RationalCF:
     def quotient(self, i: int) -> tuple[int, int]:
         """The i-th partial quotient, unrolling the periodic tail if present."""
         if i < 0:
-            raise ValueError(f"quotient index must be >= 0, got {i}")
+            raise ValueError(f"quotient index must be >= 0, got {format_rational(i)}")
         if i < len(self.quotients):
             return self.quotients[i]
         if self.period is None:
@@ -98,7 +98,7 @@ class ConvergentRecord:
 def convergents_direct(cf: RationalCF, count: int) -> list[ConvergentRecord]:
     """First `count` convergents via the rational p/q recursion."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     records = []
     p_prev2 = p_prev = q_prev2 = q_prev = None
     for n in range(count):
@@ -124,7 +124,7 @@ def convergents_integer(cf: RationalCF, count: int) -> list[ConvergentRecord]:
     and C_n = s_n / (b_0 t_n); agrees entrywise with convergents_direct.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     b0 = cf.quotient(0)[1]
     records = []
     s_prev2 = s_prev = t_prev2 = t_prev = None
@@ -168,7 +168,7 @@ class PeriodicQuadCF:
     def sigma(self, i: int, max_index: int | None = None) -> int:
         """sigma_i of sigma = W(0, 1, b, -a*c), in O(log i) products."""
         if i < 0:
-            raise ValueError(f"sigma index must be >= 0, got {i}")
+            raise ValueError(f"sigma index must be >= 0, got {format_rational(i)}")
         _check_index(i, max_index)
         return _pair(self.b, -self.a * self.c, i)[0]
 
@@ -182,7 +182,7 @@ def quad_cf_convergent(
     coprime, and sigma_m = b^(m-1) (mod a) is prime to a.
     """
     if n < 0:
-        raise ValueError(f"convergent index must be >= 0, got {n}")
+        raise ValueError(f"convergent index must be >= 0, got {format_rational(n)}")
     _check_index(n + 1, max_index)
     denom, numer = _pair(qcf.b, -qcf.a * qcf.c, n + 1)
     if denom == 0:
@@ -214,7 +214,7 @@ def method_subsequence(
     reduced as in quad_cf_convergent.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     try:
         m = _METHOD_POWER[method]
     except KeyError:

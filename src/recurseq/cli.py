@@ -264,7 +264,18 @@ def cmd_verify(args, max_index) -> int:
     return EXIT_OK if passed == total else EXIT_VERIFY_FAIL
 
 
+def _int_argument(text: str) -> int:
+    """int(text), refusing a malformed value past 100 characters by its length alone."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= 100:
+            raise  # argparse reports "invalid int value: 'text'"
+        raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.register("type", int, _int_argument)
     parser.add_argument(
         "--format",
         type=OutputFormat.parse,

@@ -13,7 +13,8 @@ U_{2k+1} = U_{k+1}^2 - qU_k^2: T_n = U_{n+1} - pU_n, and the powers of the
 companion matrix M = [[0, 1], [-q, p]] are M^n = [[T_n, U_n], [-qU_n, U_{n+1}]].
 The same pair is alpha^n = T_n + U_n*alpha in Z[t]/(t^2 - p*t + q), alpha a
 root; _ring_mul and _ring_pow multiply and power such elements for the
-acceleration chains, the convergent subsequences and the root steps.
+acceleration chains, the convergent subsequences, the ratio maps and the
+root steps.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def _basis_ut_raw(p: int, q: int, n: int) -> tuple[int, int]:
 # Elements e0 + e1*t of Z[t]/(t^2 - p*t + q) are pairs (e0, e1).  For alpha a
 # root of t^2 - p*t + q, alpha^n = T_n + U_n*alpha; its conjugate
 # beta^n = (T_n + p*U_n) - U_n*alpha, and alpha^n * beta^n = q^n.
+# A ratio x = n/d in lowest terms lifts to the primitive w = (n - p*d) + d*t,
+# d*(x - beta) at t = alpha (so x_k lifts to alpha^(k-1)), and e0 + e1*t reads
+# back as (e0 + p*e1)/e1: in z = (x - alpha)/(x - beta), products of lifts are
+# z1*z2 and powers z^m.  The common factor of what is read back obeys one rule:
+# for w primitive, that of w*v divides N(v) = v0^2 + p*v0*v1 + q*v1^2 (as
+# w*v*conj(v) = N(v)*w), and that of w^m is made of primes of D = p^2 - 4q
+# (mod other primes the ring has no nilpotents).  _bounded_fraction uses it.
 
 
 def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -136,6 +144,33 @@ def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
         if bit == "1":
             e0, e1 = _ring_mul(p, q, (e0, e1), a)
     return e0, e1
+
+
+def _lift(p: int, x, a: int = 1) -> tuple[int, int]:
+    """The primitive element (n - p*d) + d*t for a*x = n/d in lowest terms."""
+    n, d = x.as_integer_ratio()
+    g = gcd(a, d)
+    n, d = a // g * n, d // g
+    return n - p * d, d
+
+
+def _norm(p: int, q: int, v: tuple[int, int]) -> int:
+    """N(v) = v0^2 + p*v0*v1 + q*v1^2, the product of v and its conjugate."""
+    v0, v1 = v
+    return v0 * (v0 + p * v1) + q * v1 * v1
+
+
+def _bounded_fraction(num: int, den: int, bound: int) -> Fraction:
+    """Fraction(num, den), given that every prime of gcd(num, den) divides bound.
+
+    The gcds run against bound (linear time when it is small), repeated while
+    they find a factor; bound = 0 (nothing known) is one full gcd.
+    """
+    g = gcd(bound, num, den)
+    while g > 1:
+        num, den = num // g, den // g
+        g = gcd(bound, num, den) if bound else 1
+    return _coprime_fraction(num, den)
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -210,7 +245,7 @@ def basis_ut(
 def term(seq: LinRecSequence, n: int, max_index: int | None = None) -> int:
     """Exact n-th term of the sequence, in O(log n) big-integer products."""
     if n < 0:
-        raise ValueError(f"term index must be nonnegative, got {n}")
+        raise ValueError(f"term index must be nonnegative, got {format_rational(n)}")
     u_n, t_n = basis_ut(seq.params, n, max_index)
     return seq.a1 * u_n + seq.a0 * t_n
 
@@ -218,7 +253,7 @@ def term(seq: LinRecSequence, n: int, max_index: int | None = None) -> int:
 def lucas_v(params: RecurrenceParams, n: int, max_index: int | None = None) -> int:
     """V_n of the companion Lucas sequence V = W(2, p, p, q)."""
     if n < 0:
-        raise ValueError(f"Lucas index must be nonnegative, got {n}")
+        raise ValueError(f"Lucas index must be nonnegative, got {format_rational(n)}")
     u_n, t_n = basis_ut(params, n, max_index)
     return params.p * u_n + 2 * t_n
 
@@ -233,7 +268,7 @@ def decimated_params(
     is what lets subsequences of U and T be generated recursively.
     """
     if m < 1:
-        raise ValueError(f"decimation step must be >= 1, got {m}")
+        raise ValueError(f"decimation step must be >= 1, got {format_rational(m)}")
     return RecurrenceParams(lucas_v(params, m, max_index), params.q**m)
 
 

@@ -78,7 +78,7 @@ def format_decimal(value, digits: int) -> str:
     the correctly rounded value of the exact input.
     """
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise ValueError(f"digits must be >= 1, got {format_rational(digits)}")
     f = Fraction(value)
     negative = f < 0
     if negative:

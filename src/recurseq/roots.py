@@ -10,20 +10,18 @@ so iterating a method is exactly an index acceleration of the ratio sequence.
 In the coordinate z = (x - alpha)/(x - beta), alpha and beta the roots of
 t^2 - p*t + q, every method is the power map z -> z^m (m = 2 for Newton, 3
 for Halley, d+1 for Householder of order d; secant is z -> z1*z2), the
-classical Koenig/Householder conjugacy.  Newton, Halley and Householder are
-therefore computed by one integer engine, _power_step, which raises
-(n - p*d) + d*t to the m-th power in Z[t]/(t^2 - p*t + q) for x = n/d
-(with core's ring power);
-secant is one cross-multiplied fraction.  Every step is exact.
+classical Koenig/Householder conjugacy.  All four are therefore computed by
+one integer engine, _step, which lifts x = n/d to (n - p*d) + d*t in
+Z[t]/(t^2 - p*t + q) and takes the m-th power of the lift (secant: the
+product of two lifts) with core's ring operations.  Every step is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .core import _coprime_fraction, _ring_pow
+from .core import _bounded_fraction, _lift, _ring_mul, _ring_pow
 from .errors import DegenerateStep, NonRealRoots, NoProgress
 from .formatting import format_decimal, format_rational
 
@@ -69,72 +67,45 @@ class QuadraticPQ:
         return self.p * self.p - 4 * self.q
 
 
+_SECANT_DEGENERATE = "secant denominator a*(x1 + x2) - b vanished"
 _NEWTON_DEGENERATE = "Newton step at the critical point 2a*y = b"
 _HALLEY_DEGENERATE = "Halley denominator 3y^2 - 3py + p^2 - q vanished"
+_HOUSEHOLDER_DEGENERATE = "Householder order-{} denominator vanished"
 
 
-def _householder_degenerate(d: int) -> str:
-    return f"Householder order-{d} denominator vanished"
+def _step(p: int, q: int, a: int, ys, m: int | None, degenerate: str) -> Fraction:
+    """y -> x'/a, x' the image of x = a*ys[-1] under z -> z^m for t^2 - p*t + q,
+    or for m = None (secant) that of a*ys[-1] and a*ys[-2] under z -> z1*z2.
 
-
-def _power_step(p: int, q: int, a: int, y, m: int, degenerate: str) -> Fraction:
-    """y -> x'/a, where x' is the image of x = a*y under z -> z^m for t^2 - p*t + q.
-
-    With x = n/d in lowest terms, w = (n - p*d) + d*t takes the values
-    d*(x - beta) and d*(x - alpha) at t = alpha and t = beta, so
-    w^m = e0 + e1*t gives x' = (e0 + p*e1)/e1.  This is a polynomial identity
-    in (x, p, q), so it also holds for a double root, complex roots, and at a
-    rational root (which it fixes).  e1 = 0 exactly when the method's own
-    denominator vanishes.
-
-    For D = p^2 - 4q != 0 the ring mod any prime l not dividing D has no
-    nilpotents, so l | w^m would force l | n and l | d: every common factor
-    of (e0 + p*e1, e1) is made of primes of D and is removed by gcds against
-    D (repeated, since it can exceed D).  Going from y to x = a*y and back
-    needs gcds against a only.
+    Lift and read-back (see core) make this a polynomial identity in (x, p, q),
+    valid also for a double root, complex roots and at a rational root (which
+    it fixes); e1 = 0 exactly when the method's own denominator vanishes.  A
+    power's common factor is made of primes of D = p^2 - 4q, a secant's needs
+    one full gcd (bound 0, as for D = 0), and dividing by a adds primes of a.
     """
-    n, d = y.as_integer_ratio()
-    g = gcd(a, d)
-    n, d = a // g * n, d // g
-    e0, e1 = _ring_pow(p, q, (n - p * d, d), m)
+    w = _lift(p, ys[-1], a)
+    if m:
+        (e0, e1), bound = _ring_pow(p, q, w, m), p * p - 4 * q
+    else:
+        (e0, e1), bound = _ring_mul(p, q, w, _lift(p, ys[-2], a)), 0
     if e1 == 0:
         raise DegenerateStep(degenerate)
-    num, den = e0 + p * e1, e1
-    disc = p * p - 4 * q
-    if disc:
-        h = gcd(gcd(disc, num), den)
-        while h > 1:
-            num, den = num // h, den // h
-            h = gcd(gcd(disc, num), den)
-    else:
-        h = gcd(num, den)
-        num, den = num // h, den // h
-    if a != 1:
-        g = gcd(num, a)
-        num, den = num // g, den * (a // g)
-    return _coprime_fraction(num, den)
+    return _bounded_fraction(e0 + p * e1, a * e1, a * bound)
 
 
 def secant_step(f: QuadraticABC, x_prev, x_prev2) -> Fraction:
-    """One secant step: (a*x1*x2 + c) / (a*x1 + a*x2 - b)."""
-    n1, d1 = x_prev.as_integer_ratio()
-    n2, d2 = x_prev2.as_integer_ratio()
-    dd = d1 * d2
-    den = f.a * (n1 * d2 + n2 * d1) - f.b * dd
-    if den == 0:
-        raise DegenerateStep("secant denominator a*(x1 + x2) - b vanished")
-    # The common factor here is not confined to the discriminant: one gcd.
-    return Fraction(f.a * n1 * n2 + f.c * dd, den)
+    """One secant step: (a*x1*x2 + c) / (a*x1 + a*x2 - b), i.e. z -> z1*z2."""
+    return _step(f.b, -f.a * f.c, f.a, (x_prev2, x_prev), None, _SECANT_DEGENERATE)
 
 
 def newton_step(f: QuadraticABC, y) -> Fraction:
     """One Newton step: (a*y^2 + c) / (2a*y - b), i.e. z -> z^2."""
-    return _power_step(f.b, -f.a * f.c, f.a, y, 2, _NEWTON_DEGENERATE)
+    return _step(f.b, -f.a * f.c, f.a, (y,), 2, _NEWTON_DEGENERATE)
 
 
 def halley_step(f: QuadraticPQ, y) -> Fraction:
     """One Halley step: y + f(y)*(p - 2y) / (3y^2 - 3py + p^2 - q), i.e. z -> z^3."""
-    return _power_step(f.p, f.q, 1, y, 3, _HALLEY_DEGENERATE)
+    return _step(f.p, f.q, 1, (y,), 3, _HALLEY_DEGENERATE)
 
 
 def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
@@ -145,30 +116,30 @@ def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
     Halley step exactly.
     """
     if d < 1:
-        raise ValueError(f"Householder order must be >= 1, got {d}")
-    return _power_step(f.p, f.q, 1, y, d + 1, _householder_degenerate(d))
+        raise ValueError(f"Householder order must be >= 1, got {format_rational(d)}")
+    return _step(f.p, f.q, 1, (y,), d + 1, _HOUSEHOLDER_DEGENERATE.format(d))
 
 
 def newton_index(k: int) -> int:
     """Ratio index reached by one Newton step from x_k: 2k - 1."""
     if k < 2:
-        raise ValueError(f"ratio index must be >= 2, got {k}")
+        raise ValueError(f"ratio index must be >= 2, got {format_rational(k)}")
     return 2 * k - 1
 
 
 def halley_index(k: int) -> int:
     """Ratio index reached by one Halley step from x_k: 3k - 2."""
     if k < 2:
-        raise ValueError(f"ratio index must be >= 2, got {k}")
+        raise ValueError(f"ratio index must be >= 2, got {format_rational(k)}")
     return 3 * k - 2
 
 
 def householder_index(k: int, d: int) -> int:
     """Ratio index reached by one order-d Householder step from x_k: (d+1)k - d."""
     if k < 2:
-        raise ValueError(f"ratio index must be >= 2, got {k}")
+        raise ValueError(f"ratio index must be >= 2, got {format_rational(k)}")
     if d < 1:
-        raise ValueError(f"Householder order must be >= 1, got {d}")
+        raise ValueError(f"Householder order must be >= 1, got {format_rational(d)}")
     return (d + 1) * k - d
 
 
@@ -178,7 +149,7 @@ def secant_index_sequence(count: int) -> list[int]:
     Closed form: g_n = F_{n+2} + 1.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     indices = [2, 3]
     while len(indices) < count:
         indices.append(indices[-1] + indices[-2] - 1)
@@ -199,19 +170,19 @@ def _canonical_seeds(f: QuadraticABC, method: str) -> list[Fraction]:
 
 def _make_stepper(f: QuadraticABC, method: str, order: int | None):
     if method == "secant":
-        return lambda ys: secant_step(f, ys[-1], ys[-2])
-    if method == "newton":
+        m, degenerate = None, _SECANT_DEGENERATE
+    elif method == "newton":
         m, degenerate = 2, _NEWTON_DEGENERATE
     elif method == "halley":
         m, degenerate = 3, _HALLEY_DEGENERATE
     elif method == "householder":
         if order is None or order < 1:
             raise ValueError("householder method needs an order >= 1")
-        m, degenerate = order + 1, _householder_degenerate(order)
+        m, degenerate = order + 1, _HOUSEHOLDER_DEGENERATE.format(order)
     else:
         raise ValueError(f"unknown method {method!r}")
     p, q, a = f.b, -f.a * f.c, f.a
-    return lambda ys: _power_step(p, q, a, ys[-1], m, degenerate)
+    return lambda ys: _step(p, q, a, ys, m, degenerate)
 
 
 def _iterate(f, method, digits, order, max_iterations):
@@ -253,9 +224,9 @@ def approximate_root_with_trace(
 ) -> tuple[str, list[Fraction]]:
     """Like approximate_root, but also returns the full list of exact iterates."""
     if digits < 1:
-        raise ValueError(f"digits must be >= 1, got {digits}")
+        raise ValueError(f"digits must be >= 1, got {format_rational(digits)}")
     if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+        raise ValueError(f"max_iterations must be >= 0, got {format_rational(max_iterations)}")
     disc = f.discriminant()
     if disc <= 0:
         raise NonRealRoots(f"b^2 + 4ac = {format_rational(disc)} <= 0: no real distinct roots")

@@ -1,8 +1,9 @@
 """Differential tests for the integer acceleration engine.
 
 The library steps alpha^{g_n} = T + U*alpha in Z[t]/(t^2 - p*t + q) along an
-index recurrence, builds the single-step ratio maps from cross-multiplied
-integers, and steps the continued-fraction subsequences as powers of alpha.
+index recurrence, builds each single-step ratio map as one product of lifted
+ratios in that ring, and steps the continued-fraction subsequences as powers
+of alpha.
 Here each is checked against the former Fraction formulas, written out below,
 and against direct evaluation (ratio_x, basis_ut, quad_cf_convergent).  The
 expected outcome of a chain, entries or the exception, comes from index

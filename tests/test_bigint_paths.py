@@ -254,6 +254,67 @@ class TestTypedErrorsUnderDefaultGuard:
         with pytest.raises(NonRealRoots, match="no real target"):
             method_subsequence(PeriodicQuadCF(10**2200, 1, -(10**2200)), "newton", 1)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda n: recurseq.newton_index(n), "ratio index must be >= 2, got {}", id="newton_index"),
+        pytest.param(lambda n: recurseq.halley_index(n), "ratio index must be >= 2, got {}", id="halley_index"),
+        pytest.param(lambda n: recurseq.householder_index(n, 1), "ratio index must be >= 2, got {}",
+                     id="householder_index-k"),
+        pytest.param(lambda n: recurseq.householder_index(2, n), "Householder order must be >= 1, got {}",
+                     id="householder_index-d"),
+        pytest.param(lambda n: recurseq.householder_step(recurseq.QuadraticPQ(1, -1), 2, n),
+                     "Householder order must be >= 1, got {}", id="householder_step"),
+        pytest.param(lambda n: recurseq.secant_index_sequence(n), "count must be >= 1, got {}",
+                     id="secant_index_sequence"),
+        pytest.param(lambda n: approximate_root(QuadraticABC(1, 1, 1), "newton", n), "digits must be >= 1, got {}",
+                     id="approximate_root-digits"),
+        pytest.param(lambda n: approximate_root(QuadraticABC(1, 1, 1), "newton", 5, max_iterations=n),
+                     "max_iterations must be >= 0, got {}", id="approximate_root-max_iterations"),
+        pytest.param(lambda n: PeriodicQuadCF(1, 1, 1).sigma(n), "sigma index must be >= 0, got {}", id="sigma"),
+        pytest.param(lambda n: recurseq.quad_cf_convergent(PeriodicQuadCF(1, 1, 1), n),
+                     "convergent index must be >= 0, got {}", id="quad_cf_convergent"),
+        pytest.param(lambda n: method_subsequence(PeriodicQuadCF(1, 1, 1), "newton", n), "count must be >= 1, got {}",
+                     id="method_subsequence"),
+        pytest.param(lambda n: recurseq.RationalCF(((1, 1),), period=1).quotient(n),
+                     "quotient index must be >= 0, got {}", id="RationalCF.quotient"),
+        pytest.param(lambda n: recurseq.convergents_direct(recurseq.RationalCF(((1, 1),)), n),
+                     "count must be >= 1, got {}", id="convergents_direct"),
+        pytest.param(lambda n: recurseq.convergents_integer(recurseq.RationalCF(((1, 1),)), n),
+                     "count must be >= 1, got {}", id="convergents_integer"),
+        pytest.param(lambda n: format_decimal(1, n), "digits must be >= 1, got {}", id="format_decimal"),
+        pytest.param(lambda n: term(LinRecSequence(0, 1, FIB), n), "term index must be nonnegative, got {}",
+                     id="term"),
+        pytest.param(lambda n: recurseq.lucas_v(FIB, n), "Lucas index must be nonnegative, got {}", id="lucas_v"),
+        pytest.param(lambda n: recurseq.decimated_params(FIB, n), "decimation step must be >= 1, got {}",
+                     id="decimated_params"),
+        pytest.param(lambda n: ratio_x(FIB, n), "ratio index must be >= 2, got {}", id="ratio_x"),
+        pytest.param(lambda n: recurseq.accelerate_general(FIB, recurseq.IndexSequenceParams(2, 3, 1, 1), n),
+                     "count must be >= 1, got {}", id="accelerate_general-count"),
+        pytest.param(lambda n: recurseq.accelerate_general(FIB, recurseq.IndexSequenceParams(n, 3, 1, 1), 3),
+                     "initial indices must be >= 2, got ({}, 3)", id="accelerate_general-seed"),
+        pytest.param(lambda n: recurseq.accelerate_general(FIB, recurseq.IndexSequenceParams(2, 3, 0, -n // 2), 3,
+                                                           max_index=-n),
+                     "generated index g_2 = {} is < 2", id="accelerate_general-generated"),
+        pytest.param(lambda n: recurseq.arithmetic_index_accel(FIB, 2, 1, n), "count must be >= 1, got {}",
+                     id="arithmetic_index_accel-count"),
+        pytest.param(lambda n: recurseq.arithmetic_index_accel(FIB, n, 1, 2), "start index h must be >= 2, got {}",
+                     id="arithmetic_index_accel-h"),
+        pytest.param(lambda n: recurseq.arithmetic_index_accel(FIB, 2, n - 2, 2), "acceleration index {} is < 2",
+                     id="arithmetic_index_accel-step"),
+        pytest.param(lambda n: recurseq.verify_nested_fibonacci_identity(n), "identity defined for n >= 3, got {}",
+                     id="verify_nested_fibonacci_identity"),
+        pytest.param(lambda n: recurseq.verify_fkn_identity(n, 2), "k must be >= 1, got {}", id="verify_fkn-k"),
+        pytest.param(lambda n: recurseq.verify_fkn_identity(1, n), "identity defined for n >= 2, got {}",
+                     id="verify_fkn-n"),
+        pytest.param(lambda n: recurseq.verify_cubic_fibonacci_identity(n), "identity defined for n >= 3, got {}",
+                     id="verify_cubic_fibonacci_identity"),
+    ])
+    def test_value_error_keeps_its_message(self, default_str_guard, call, message):
+        """A refused integer past the guard is rendered in the message, not str()'d."""
+        n = -(10**5000)
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == message.format(format_rational(n))
+
 
 def test_no_module_holds_a_functools_cache():
     """No cache keyed by user input can grow: the package keeps no functools cache."""

@@ -223,6 +223,23 @@ class TestUnderDefaultStrGuard:
         assert run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "1" + "0" * 4300)[0] == 2
         assert run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "1" + "0" * 4299)[0] == 3
 
+    def test_refused_huge_argument_is_not_echoed(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "1" + "0" * 4300)
+        assert code == 2 and len(err.encode()) < 300
+        assert err.splitlines()[-1] == "recurseq seq: error: argument -n: invalid int value of 4301 characters"
+
+    def test_malformed_argument_messages(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "root", "-a", "1", "-b", "9" * 150 + "x", "-c", "1", "--method", "newton",
+                                   "--digits", "5")
+        assert code == 2 and "9" * 150 not in err
+        assert err.splitlines()[-1] == "recurseq root: error: argument -b: invalid int value of 151 characters"
+        code, _, err = run_guarded(capsys, "verify", "fkn", "--k-max", "abc")
+        assert code == 2
+        assert err.splitlines()[-1] == "recurseq verify: error: argument --k-max: invalid int value: 'abc'"
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "9" * 99 + "x")
+        assert code == 2
+        assert err.splitlines()[-1] == f"recurseq seq: error: argument -n: invalid int value: '{'9' * 99}x'"
+
     def test_non_real_root_with_huge_coefficients_exit_5(self, capsys, default_str_guard):
         big = "1" + "0" * 2200
         code, _, err = run_guarded(capsys, "root", "-a", big, "-b", "1", "-c", "-" + big, "--method", "newton",

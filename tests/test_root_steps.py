@@ -1,8 +1,8 @@
 """Differential tests for the root-method steps and the root iteration.
 
 The library computes Newton, Halley and Householder steps as the power map
-z -> z^m in Z[t]/(t^2 - p*t + q) and the secant step as one cross-multiplied
-fraction.  Here each is checked against the direct rational formulas of the
+z -> z^m in Z[t]/(t^2 - p*t + q) and the secant step as the product z1*z2 in
+the same ring.  Here each is checked against the direct rational formulas of the
 methods (Householder through the derivative polynomials of 1/f), and the
 whole iteration against a loop that stops on the plain difference test.
 """
