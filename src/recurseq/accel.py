@@ -3,17 +3,19 @@
 When the characteristic roots are real with distinct moduli, x_n converges to
 the larger root, so pulling out a subsequence x_{g_n} along a fast-growing
 index sequence g is a convergence acceleration.  The chains here generate
-x_{g_n} (and the underlying U, T values) recursively for any order-2 index
-recurrence g_n = s*g_{n-1} - t*g_{n-2}.  With alpha a root of t^2 - p*t + q,
+x_{g_n} (and the underlying U, T values) for any order-2 index recurrence
+g_n = s*g_{n-1} - t*g_{n-2}.  With alpha a root of t^2 - p*t + q,
 alpha^g = T_g + U_g*alpha in Z[t]/(t^2 - p*t + q), and the recurrence is the
 integer split
 
     alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t},
 
-a negative power being a power of the conjugate over a power of q.  The
-single-step ratio maps (shift, doubling, Fibonacci-index step) are one ring
-product each: the lift of x_k is alpha^(k-1), and the result is read back
-and reduced against a norm bound (see core).
+a negative power being a power of the conjugate over a power of q.  core's
+_power_chain steps it for every scheme here and for cf.method_subsequence
+(the root-method chains W(1, 2, 1, -1) and W(1, m, m, 0)).  The single-step
+ratio maps (shift, doubling, Fibonacci-index step) are one ring product each:
+the lift of x_k is alpha^(k-1), and the result is read back and reduced
+against a norm bound (see core).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .core import (
     _lift,
     _norm,
     _pair,
+    _power_chain,
     _reduced,
     _ring_mul,
     _ring_pow,
@@ -156,18 +159,6 @@ class AccelerationEntry(NamedTuple):
     x: Fraction
 
 
-def _seed_entry(
-    params: RecurrenceParams, idx: int, max_index: int | None
-) -> AccelerationEntry:
-    if idx < 2:
-        raise ValueError(f"acceleration index {format_rational(idx)} is < 2")
-    _check_index(idx, max_index)
-    u_prev, u = _ratio_pair(params, idx, max_index)
-    # T_idx = U_{idx+1} - p*U_idx = -q*U_{idx-1}
-    t = -params.q * u_prev
-    return AccelerationEntry(idx, Fraction(u), Fraction(t), _reduced(params.p, params.q)(u, u_prev))
-
-
 def accelerate_general(
     params: RecurrenceParams,
     g: IndexSequenceParams,
@@ -176,17 +167,16 @@ def accelerate_general(
 ) -> list[AccelerationEntry]:
     """Ratios (and U, T values) along the index subsequence g.
 
-    Entries 0 and 1 are evaluated directly at g_0 = i and g_1 = j.  Every
-    entry carries alpha^{g_n} = T_{g_n} + U_{g_n}*alpha in Z[t]/(t^2 - p*t + q)
-    (alpha a root of t^2 - p*t + q), and for n >= 2 the index recurrence
-    g_n = s*g_{n-1} - t*g_{n-2} is the integer split
+    Every entry carries alpha^{g_n} = T_{g_n} + U_{g_n}*alpha in
+    Z[t]/(t^2 - p*t + q) (alpha a root of t^2 - p*t + q), read off core's one
+    chain engine: g_0 = i and g_1 = j are evaluated directly, and for n >= 2
+    the index recurrence g_n = s*g_{n-1} - t*g_{n-2} is the integer split
 
         alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}.
 
     A negative power of alpha^g is the matching power of its conjugate
-    beta^g = (T_g + p*U_g) - U_g*alpha, divided by q^g (alpha*beta = q); the
-    product is divided exactly by q^{t*g_{n-2}} (and by q^{-s*g_{n-1}} when
-    s < 0).  The ratio is x_{g_n} = U_{g_n} / U_{g_n - 1}, with
+    beta^g = (T_g + p*U_g) - U_g*alpha, divided by q^g (alpha*beta = q).
+    The ratio is x_{g_n} = U_{g_n} / U_{g_n - 1}, with
     U_{g_n - 1} = -T_{g_n} / q; DegenerateRatio is raised exactly when that
     vanishes, as in ratio_x.
     """
@@ -199,49 +189,13 @@ def accelerate_general(
         raise ValueError(
             f"initial indices must be >= 2, got ({format_rational(g.i)}, {format_rational(g.j)})"
         )
-
-    entries = [_seed_entry(params, g.i, max_index)]
-    if count >= 2:
-        entries.append(_seed_entry(params, g.j, max_index))
-    if count <= 2:
-        return entries[:count]
-
-    # The step exponents are held to the cap like the indices.
-    _check_index(g.s, max_index)
-    _check_index(g.t, max_index)
     frac = _reduced(p, q)
-    # alpha^{g_{n-2}} and alpha^{g_{n-1}} as (T, U)
-    power2, power1 = ((e.t.numerator, e.u.numerator) for e in entries)
-    for n in range(2, count):
-        g1, g2 = entries[n - 1].index, entries[n - 2].index
-        idx = g.s * g1 - g.t * g2
-        if idx < 2:
-            raise ValueError(f"generated index g_{n} = {format_rational(idx)} is < 2")
-        _check_index(idx, max_index)
-        a, k1 = _scaled_power(p, q, power1, g.s)
-        b, k2 = _scaled_power(p, q, power2, -g.t)
-        t_idx, u_idx = _ring_mul(p, q, a, b)
-        excess = k1 * g1 + k2 * g2  # the product is q^excess * alpha^{g_n}
-        if excess:
-            scale = q**excess
-            t_idx, u_idx = t_idx // scale, u_idx // scale
+    entries = []
+    for idx, (t_idx, u_idx) in _power_chain(p, q, g.i, g.j, g.s, g.t, count, max_index):
         if t_idx == 0:
             raise _vanished(idx)
-        power2, power1 = power1, (t_idx, u_idx)
         entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), frac(u_idx, -t_idx // q)))
     return entries
-
-
-def _scaled_power(p: int, q: int, power: tuple[int, int], m: int) -> tuple[tuple[int, int], int]:
-    """(alpha^g)^m for power = alpha^g and any integer m, as (q^{k*g} * alpha^{m*g}, k).
-
-    k = 0 for m >= 0; for m < 0, k = -m and the element is the (-m)-th power
-    of the conjugate beta^g = q^g * alpha^{-g}.
-    """
-    if m >= 0:
-        return _ring_pow(p, q, power, m), 0
-    t, u = power
-    return _ring_pow(p, q, (t + p * u, -u), -m), -m
 
 
 def arithmetic_index_accel(
@@ -264,12 +218,10 @@ def arithmetic_index_accel(
         raise InverseUnavailable("arithmetic-index acceleration needs q != 0")
     if h < 2:
         raise ValueError(f"start index h must be >= 2, got {format_rational(h)}")
-    if count > 1 and h + k >= 2:
-        return accelerate_general(params, IndexSequenceParams(h, h + k, 2, 1), count, max_index)
-    entries = [_seed_entry(params, h, max_index)]
-    if count > 1:
+    if count > 1 and h + k < 2:
+        accelerate_general(params, IndexSequenceParams(h, h, 2, 1), 1, max_index)
         raise ValueError(f"acceleration index {format_rational(h + k)} is < 2")
-    return entries
+    return accelerate_general(params, IndexSequenceParams(h, h + k if count > 1 else h, 2, 1), count, max_index)
 
 
 def _fib_pair(m: int) -> tuple[int, int]:

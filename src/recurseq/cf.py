@@ -12,7 +12,10 @@ are ratios of the single recurrent sequence sigma = W(0, 1, b, -a*c):
     C_n = sigma_{n+2} / (a * sigma_{n+1}).
 
 Striding through the convergents at indices F_{n+2}-1, 2^n - 1, or 3^n - 1
-reproduces the secant, Newton, and Halley iterates for that root.
+reproduces the secant, Newton, and Halley iterates for that root.  Those
+indices are k_n - 1 along the exponent chains W(1, 2, 1, -1) (secant) and
+W(1, m, m, 0) (power m), so method_subsequence reads the convergents off
+core's chain engine, the one the ratio accelerations use.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_index, _pair, _reduced, _ring_mul, _ring_pow
+from .core import _check_index, _pair, _power_chain, _reduced
 from .errors import DegenerateConvergent, NonRealRoots
 from .formatting import format_rational
+from .roots import _METHODS, _index_chain
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _PERIOD_RE = re.compile(r"^period\s*=\s*(\d+)$")
@@ -41,9 +45,11 @@ class RationalCF:
             raise ValueError("a continued fraction needs at least one partial quotient")
         for i, (a, b) in enumerate(self.quotients):
             if a == 0 or b == 0:
-                raise ValueError(f"partial quotient {i} is {a}/{b}; zeros are not allowed")
+                raise ValueError(
+                    f"partial quotient {i} is {format_rational(a)}/{format_rational(b)}; zeros are not allowed"
+                )
         if self.period is not None and not 1 <= self.period <= len(self.quotients):
-            raise ValueError(f"period {self.period} out of range for {len(self.quotients)} quotients")
+            raise ValueError(f"period {format_rational(self.period)} out of range for {len(self.quotients)} quotients")
 
     def quotient(self, i: int) -> tuple[int, int]:
         """The i-th partial quotient, unrolling the periodic tail if present."""
@@ -53,7 +59,7 @@ class RationalCF:
             return self.quotients[i]
         if self.period is None:
             raise ValueError(
-                f"quotient {i} requested but only {len(self.quotients)} exist and no period is set"
+                f"quotient {format_rational(i)} requested but only {len(self.quotients)} exist and no period is set"
             )
         start = len(self.quotients) - self.period
         return self.quotients[start + (i - start) % self.period]
@@ -191,11 +197,6 @@ def quad_cf_convergent(
     return _reduced(qcf.b, -qcf.a * qcf.c)(numer, qcf.a * denom)
 
 
-# The power of alpha^k each method's step takes: Newton k -> 2k, Halley
-# k -> 3k; secant (None) multiplies the last two powers, k_n = k_{n-1} + k_{n-2}.
-_METHOD_POWER = {"secant": None, "newton": 2, "halley": 3}
-
-
 def method_subsequence(
     qcf: PeriodicQuadCF,
     method: str,
@@ -208,38 +209,27 @@ def method_subsequence(
     a*t^2 - b*t - c (seeded from C_0, plus C_1 for secant) equals the
     convergent at index F_{n+2}-1, 2^n - 1, or 3^n - 1 respectively.
 
-    The chain steps alpha^k = T_k + sigma_k*alpha in Z[t]/(t^2 - b*t - a*c)
-    from k = 1, one method step per entry, and reads each value as
-    C_{k-1} = sigma_{k+1} / (a*sigma_k) with sigma_{k+1} = b*sigma_k + T_k,
-    reduced as in quad_cf_convergent.
+    The values are read off core's chain engine, which steps
+    alpha^k = T_k + sigma_k*alpha in Z[t]/(t^2 - b*t - a*c) along the
+    method's exponent chain from k = 1 (secant W(1, 2, 1, -1), power m
+    W(1, m, m, 0); see roots): each is C_{k-1} = sigma_{k+1} / (a*sigma_k)
+    with sigma_{k+1} = b*sigma_k + T_k, reduced as in quad_cf_convergent.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
-    try:
-        m = _METHOD_POWER[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; expected secant, newton, or halley") from None
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected secant, newton, or halley")
     disc = qcf.b * qcf.b + 4 * qcf.a * qcf.c
     if disc <= 0:
         raise NonRealRoots(
             f"b^2 + 4ac = {format_rational(disc)} <= 0: the continued fraction has no real target"
         )
-    p, q = qcf.b, -qcf.a * qcf.c
+    a, p, q = qcf.a, qcf.b, -qcf.a * qcf.c
     frac = _reduced(p, q)
-    k = k_prev = 1  # secant starts from k_{-1} = F_1 and k_0 = F_2
-    power = power_prev = (0, 1)  # alpha^1
-    _check_index(k, max_index)
     out = []
-    for n in range(count):
-        if n:
-            k, k_prev = (k * m if m else k + k_prev), k
-            _check_index(k, max_index)
-            power, power_prev = (
-                _ring_pow(p, q, power, m) if m else _ring_mul(p, q, power, power_prev)
-            ), power
-        t, sigma = power
+    for k, (t, sigma) in _power_chain(p, q, *_index_chain(_METHODS[method][0]), count, max_index):
         if sigma == 0:
             raise DegenerateConvergent(f"sigma_{k} = 0, convergent C_{k - 1} undefined")
         _check_index(k + 1, max_index)
-        out.append((k - 1, frac(t + p * sigma, qcf.a * sigma)))
+        out.append((k - 1, frac(t + p * sigma, a * sigma)))
     return out

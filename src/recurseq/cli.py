@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import accel, cf, core, roots
 from .accel import IndexSequenceParams
@@ -52,7 +51,7 @@ class OutputFormat:
         if text == "records":
             return cls("records")
         if text.startswith("decimal:"):
-            digits = int(text.split(":", 1)[1])
+            digits = _int_argument(text.split(":", 1)[1])
             if digits < 1:
                 raise ValueError("decimal digits must be >= 1")
             return cls("decimal", digits)
@@ -79,9 +78,11 @@ def _resolve_max_index(args) -> int | None:
         if not env:
             return None
         try:
-            limit = int(env)
+            limit = _int_argument(env)
         except ValueError:
             raise ValueError(f"{ENV_MAX_INDEX}={env!r} is not an integer") from None
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{ENV_MAX_INDEX} is not an integer: {exc}") from None
     if limit < 1:
         raise ValueError(f"index cap must be >= 1, got {limit}")
     return limit
@@ -142,30 +143,19 @@ def cmd_accelerate(args, max_index) -> int:
     return EXIT_OK
 
 
-def _trace_index(method: str, order: int, step: int) -> int:
-    if method == "secant":
-        return core.fibonacci(step + 2) - 1
-    base = cf._METHOD_POWER.get(method) or order + 1  # householder: order + 1
-    return base**step - 1
-
-
 def cmd_root(args, max_index) -> int:
     f = roots.QuadraticABC(args.a, args.b, args.c)
     decimal, iterates = roots.approximate_root_with_trace(
         f, args.method, args.digits, order=args.order, max_iterations=args.max_iterations
     )
     if args.trace:
-        canonical = iterates[0] == Fraction(args.b, args.a)
-        for step, y in enumerate(iterates):
-            if canonical:
-                label = _trace_index(args.method, args.order, step)
-                if args.format.mode == "records":
-                    print(json.dumps({"index": label, "value": format_rational(y), "method": args.method}))
-                else:
-                    print(f"idx {label} → {format_rational(y)}")
+        labels = roots._convergent_indices(f, args.method, args.order, iterates)
+        key, word = ("index", "idx") if labels else ("step", "step")
+        for n, y in zip(labels or range(len(iterates)), iterates):
+            if args.format.mode == "records":
+                print(json.dumps({key: n, "value": format_rational(y), "method": args.method}))
             else:
-                # A shifted seed no longer walks the convergent indices.
-                print(f"step {step} → {format_rational(y)}")
+                print(f"{word} {n} → {format_rational(y)}")
     if args.format.mode == "records":
         print(json.dumps({"method": args.method, "digits": args.digits, "value": decimal}))
     else:

@@ -93,11 +93,14 @@ class Matrix2:
 def _pair(p: int, q: int, n: int) -> tuple[int, int]:
     """(U_n, U_{n+1}) for n >= 0.
 
-    Walks the bits of n from the top, doubling k -> 2k and stepping
-    k -> k+1 where the bit is set: three full-size products per bit.
+    Walks the bits of n below the leading one from (U_1, U_2) = (1, p),
+    doubling k -> 2k and stepping k -> k+1 where the bit is set: three
+    full-size products per bit.
     """
-    u, v = 0, 1
-    for bit in bin(n)[2:]:
+    if n == 0:
+        return 0, 1
+    u, v = 1, p
+    for bit in bin(n)[3:]:
         u, v = u * (2 * v - p * u), v * v - q * u * u
         if bit == "1":
             u, v = v, p * v - q * u
@@ -131,11 +134,14 @@ def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[i
 
 
 def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
-    """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply.
+    """a^m in Z[t]/(t^2 - p*t + q) by square-and-multiply; for m < 0, conj(a)^(-m)
+    = N(a)^(-m) * a^m, which for a = alpha^k is q^(-m*k) * alpha^(m*k).
 
     A squaring costs three full-size products: (e0 + e1*t)^2 =
     (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.
     """
+    if m < 0:
+        a, m = (a[0] + p * a[1], -a[1]), -m
     if m == 0:
         return 1, 0
     e0, e1 = a
@@ -144,6 +150,40 @@ def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
         if bit == "1":
             e0, e1 = _ring_mul(p, q, (e0, e1), a)
     return e0, e1
+
+
+def _power_chain(p: int, q: int, k0: int, k1: int, s: int, t: int, count: int, max_index: int | None):
+    """Yield (k_n, alpha^{k_n} as (T, U)) for n < count along k_n = s*k_{n-1} - t*k_{n-2}.
+
+    Seeds come from one _pair each (alpha^k = -q*U_{k-1} + U_k*alpha), later
+    powers from the split (alpha^{k_{n-1}})^s * (alpha^{k_{n-2}})^{-t}, divided
+    exactly by the power of q its conjugates carry.  Each index is held to
+    the cap when reached (s and t once a third entry is asked for), and a
+    generated index must be >= 2.
+    """
+    power1 = None
+    for k in (k0, k1)[:count]:
+        _check_index(k, max_index)
+        u_prev, u = _pair(p, q, k - 1)
+        power0, power1 = power1, (-q * u_prev, u)
+        yield k, power1
+    if count <= 2:
+        return
+    _check_index(s, max_index)
+    _check_index(t, max_index)
+    for n in range(2, count):
+        k = s * k1 - t * k0
+        if k < 2:
+            raise ValueError(f"generated index g_{n} = {format_rational(k)} is < 2")
+        _check_index(k, max_index)
+        power = power1 if s == 1 else _ring_pow(p, q, power1, s)
+        if t:
+            power = _ring_mul(p, q, power, power0 if t == -1 else _ring_pow(p, q, power0, -t))
+        if t > 0 or s < 0:  # conj(alpha^k)^c carries q^(c*k)
+            scale = q ** (max(t, 0) * k0 + max(-s, 0) * k1)
+            power = power[0] // scale, power[1] // scale
+        yield k, power
+        k0, power0, k1, power1 = k1, power1, k, power
 
 
 def _lift(p: int, x, a: int = 1) -> tuple[int, int]:

@@ -14,6 +14,8 @@ classical Koenig/Householder conjugacy.  All four are therefore computed by
 one integer engine, _step, which lifts x = n/d to (n - p*d) + d*t in
 Z[t]/(t^2 - p*t + q) and takes the m-th power of the lift (secant: the
 product of two lifts) with core's ring operations.  Every step is exact.
+Each method's m is declared once, in _METHODS; the steps, the convergent
+chains of cf.method_subsequence and the CLI's trace labels all read it.
 """
 
 from __future__ import annotations
@@ -67,10 +69,30 @@ class QuadraticPQ:
         return self.p * self.p - 4 * self.q
 
 
-_SECANT_DEGENERATE = "secant denominator a*(x1 + x2) - b vanished"
-_NEWTON_DEGENERATE = "Newton step at the critical point 2a*y = b"
-_HALLEY_DEGENERATE = "Halley denominator 3y^2 - 3py + p^2 - q vanished"
-_HOUSEHOLDER_DEGENERATE = "Householder order-{} denominator vanished"
+# Each method as (m of its map z -> z^m, None for secant's z -> z1*z2; the
+# DegenerateStep text).  Householder of order d, m = d + 1, is built by _method.
+_METHODS = {
+    "secant": (None, "secant denominator a*(x1 + x2) - b vanished"),
+    "newton": (2, "Newton step at the critical point 2a*y = b"),
+    "halley": (3, "Halley denominator 3y^2 - 3py + p^2 - q vanished"),
+}
+
+
+def _method(name: str, order: int | None = None) -> tuple[int | None, str]:
+    """(m, degenerate text) of a method by name; householder needs its order."""
+    if name == "householder":
+        if order is None or order < 1:
+            raise ValueError("householder method needs an order >= 1")
+        return order + 1, f"Householder order-{order} denominator vanished"
+    if name not in _METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    return _METHODS[name]
+
+
+def _index_chain(m: int | None) -> tuple[int, int, int, int]:
+    """W(k_0, k_1, s, t) of the exponents k_n: from the canonical seed, iterate n
+    is alpha^{k_n} read back, the ratio x_{k_n + 1} and the convergent C_{k_n - 1}."""
+    return (1, 2, 1, -1) if m is None else (1, m, m, 0)
 
 
 def _step(p: int, q: int, a: int, ys, m: int | None, degenerate: str) -> Fraction:
@@ -95,17 +117,17 @@ def _step(p: int, q: int, a: int, ys, m: int | None, degenerate: str) -> Fractio
 
 def secant_step(f: QuadraticABC, x_prev, x_prev2) -> Fraction:
     """One secant step: (a*x1*x2 + c) / (a*x1 + a*x2 - b), i.e. z -> z1*z2."""
-    return _step(f.b, -f.a * f.c, f.a, (x_prev2, x_prev), None, _SECANT_DEGENERATE)
+    return _step(f.b, -f.a * f.c, f.a, (x_prev2, x_prev), *_METHODS["secant"])
 
 
 def newton_step(f: QuadraticABC, y) -> Fraction:
     """One Newton step: (a*y^2 + c) / (2a*y - b), i.e. z -> z^2."""
-    return _step(f.b, -f.a * f.c, f.a, (y,), 2, _NEWTON_DEGENERATE)
+    return _step(f.b, -f.a * f.c, f.a, (y,), *_METHODS["newton"])
 
 
 def halley_step(f: QuadraticPQ, y) -> Fraction:
     """One Halley step: y + f(y)*(p - 2y) / (3y^2 - 3py + p^2 - q), i.e. z -> z^3."""
-    return _step(f.p, f.q, 1, (y,), 3, _HALLEY_DEGENERATE)
+    return _step(f.p, f.q, 1, (y,), *_METHODS["halley"])
 
 
 def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
@@ -117,7 +139,7 @@ def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError(f"Householder order must be >= 1, got {format_rational(d)}")
-    return _step(f.p, f.q, 1, (y,), d + 1, _HOUSEHOLDER_DEGENERATE.format(d))
+    return _step(f.p, f.q, 1, (y,), *_method("householder", d))
 
 
 def newton_index(k: int) -> int:
@@ -169,20 +191,22 @@ def _canonical_seeds(f: QuadraticABC, method: str) -> list[Fraction]:
 
 
 def _make_stepper(f: QuadraticABC, method: str, order: int | None):
-    if method == "secant":
-        m, degenerate = None, _SECANT_DEGENERATE
-    elif method == "newton":
-        m, degenerate = 2, _NEWTON_DEGENERATE
-    elif method == "halley":
-        m, degenerate = 3, _HALLEY_DEGENERATE
-    elif method == "householder":
-        if order is None or order < 1:
-            raise ValueError("householder method needs an order >= 1")
-        m, degenerate = order + 1, _HOUSEHOLDER_DEGENERATE.format(order)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    m, degenerate = _method(method, order)
     p, q, a = f.b, -f.a * f.c, f.a
     return lambda ys: _step(p, q, a, ys, m, degenerate)
+
+
+def _convergent_indices(f: QuadraticABC, method: str, order: int | None, iterates) -> list[int] | None:
+    """The index k_n - 1 of the convergent of [b/a, b/c] each iterate equals,
+    or None when they are none: b = 0 (no such fraction) or a shifted seed."""
+    if f.b == 0 or iterates[0] != Fraction(f.b, f.a):
+        return None
+    k_prev, k, s, t = _index_chain(_method(method, order)[0])
+    labels = []
+    for _ in iterates:
+        labels.append(k_prev - 1)
+        k_prev, k = k, s * k - t * k_prev
+    return labels
 
 
 def _iterate(f, method, digits, order, max_iterations):

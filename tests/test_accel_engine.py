@@ -412,7 +412,7 @@ def subsequence(qcf, method, count, max_index):
 
 
 nonzero = st.integers(-9, 9).filter(bool)
-COUNTS = {"secant": 19, "newton": 14, "halley": 9}  # each runs past the memo limit
+COUNTS = {"secant": 19, "newton": 14, "halley": 9}  # each reaches indices past _SIGMA_MEMO_LIMIT
 
 
 class TestMethodSubsequence:

@@ -276,6 +276,10 @@ class TestTypedErrorsUnderDefaultGuard:
                      id="method_subsequence"),
         pytest.param(lambda n: recurseq.RationalCF(((1, 1),), period=1).quotient(n),
                      "quotient index must be >= 0, got {}", id="RationalCF.quotient"),
+        pytest.param(lambda n: recurseq.RationalCF(((n, 0),)),
+                     "partial quotient 0 is {}/0; zeros are not allowed", id="RationalCF-zero-quotient"),
+        pytest.param(lambda n: recurseq.RationalCF(((1, 1),), n),
+                     "period {} out of range for 1 quotients", id="RationalCF-period"),
         pytest.param(lambda n: recurseq.convergents_direct(recurseq.RationalCF(((1, 1),)), n),
                      "count must be >= 1, got {}", id="convergents_direct"),
         pytest.param(lambda n: recurseq.convergents_integer(recurseq.RationalCF(((1, 1),)), n),
@@ -314,6 +318,13 @@ class TestTypedErrorsUnderDefaultGuard:
         with pytest.raises(ValueError) as info:
             call(n)
         assert str(info.value) == message.format(format_rational(n))
+
+    def test_quotient_past_the_end_keeps_its_message(self, default_str_guard):
+        """The one refusal of a large positive integer: a quotient past the last, with no period."""
+        n = 10**5000
+        with pytest.raises(ValueError) as info:
+            recurseq.RationalCF(((1, 1),)).quotient(n)
+        assert str(info.value) == f"quotient {format_rational(n)} requested but only 1 exist and no period is set"
 
 
 def test_no_module_holds_a_functools_cache():

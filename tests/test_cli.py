@@ -1,9 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from recurseq import cf, format_rational, parse_rational, roots
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from recurseq import PeriodicQuadCF, cf, format_rational, parse_rational, quad_cf_convergent, roots
 from recurseq.cli import main
 
 
@@ -149,11 +154,80 @@ class TestRoot:
         indexed = [line for line in out.splitlines() if line.startswith("idx")]
         assert [line.split()[1] for line in indexed[:3]] == ["0", "3", "15"]
 
+    def test_secant_trace_with_b_zero_is_numbered_by_step(self, capsys):
+        # The seeds [0, 1] are not convergents: [b/a, b/c] needs b != 0.
+        code, out, _ = run(capsys, "root", "-a", "1", "-b", "0", "-c", "2", "--method", "secant", "--digits", "5",
+                           "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:4] == ["step 0 → 0", "step 1 → 1", "step 2 → 2", "step 3 → 4/3"]
+        assert lines[-1] == "1.41421"
+        assert not [line for line in lines if line.startswith("idx")]
+
+    def test_step_trace_records(self, capsys):
+        code, out, _ = run(capsys, "root", "-a", "1", "-b", "0", "-c", "2", "--method", "newton", "--digits", "5",
+                           "--trace", "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"step": 0, "value": "1", "method": "newton"}
+        assert records[1] == {"step": 1, "value": "3/2", "method": "newton"}
+        assert [r["step"] for r in records[:-1]] == list(range(len(records) - 1))
+        assert records[-1] == {"method": "newton", "digits": 5, "value": "1.41421"}
+
+    def test_convergent_trace_records(self, capsys):
+        code, out, _ = run(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--method", "halley", "--digits", "8",
+                           "--trace", "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[:3] == [{"index": 0, "value": "1", "method": "halley"},
+                               {"index": 2, "value": "3/2", "method": "halley"},
+                               {"index": 8, "value": "55/34", "method": "halley"}]
+
     def test_non_real_exit_5(self, capsys):
         assert run(capsys, "root", "-a", "1", "-b", "1", "-c", "-1", "--method", "newton", "--digits", "5")[0] == 5
 
     def test_zero_leading_coefficient_exit_2(self, capsys):
         assert run(capsys, "root", "-a", "0", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5")[0] == 2
+
+
+def run_quiet(*argv):
+    """main(argv) with its output captured, for tests that run many cases."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+small_nonzero = st.integers(-6, 6).filter(bool)
+trace_methods = st.sampled_from(["secant", "newton", "halley"]) | st.integers(1, 4).map(lambda d: f"householder:{d}")
+
+
+class TestTraceLabels:
+    """Every "idx L → v" line of root --trace is the convergent C_L of [b/a, b/c]."""
+
+    @given(a=small_nonzero, b=st.integers(-6, 6), c=small_nonzero, method=trace_methods, digits=st.integers(1, 12))
+    @example(a=1, b=0, c=2, method="secant", digits=5)
+    @example(a=1, b=0, c=2, method="halley", digits=5)
+    @example(a=1, b=1, c=1, method="householder:3", digits=12)
+    @example(a=2, b=-3, c=5, method="secant", digits=9)
+    def test_idx_lines_are_convergents(self, a, b, c, method, digits):
+        name, _, order = method.partition(":")
+        argv = ["root", "-a", str(a), "-b", str(b), "-c", str(c), "--method", name, "--digits", str(digits),
+                "--trace"] + (["--order", order] if order else [])
+        code, out = run_quiet(*argv)
+        lines = out.splitlines()
+        if code:
+            assert code in (4, 5) and not lines
+            return
+        labelled = [line.split() for line in lines if line.startswith("idx ")]
+        stepped = [line for line in lines if line.startswith("step ")]
+        assert len(labelled) + len(stepped) == len(lines) - 1
+        assert not (labelled and stepped)
+        seed = parse_rational(lines[0].split()[-1])
+        assert bool(labelled) == (b != 0 and seed == Fraction(b, a))  # a shifted seed walks no convergents
+        for _, label, arrow, value in labelled:
+            assert arrow == "→"
+            assert parse_rational(value) == quad_cf_convergent(PeriodicQuadCF(a, b, c), int(label))
 
 
 class TestCf:
@@ -239,6 +313,23 @@ class TestUnderDefaultStrGuard:
         code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "9" * 99 + "x")
         assert code == 2
         assert err.splitlines()[-1] == f"recurseq seq: error: argument -n: invalid int value: '{'9' * 99}x'"
+
+    def test_malformed_env_cap_is_reported_by_length(self, capsys, monkeypatch, default_str_guard):
+        monkeypatch.setenv("RECURSEQ_MAX_INDEX", "1" * 5000)
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5")
+        assert code == 2 and len(err.encode()) < 300
+        assert err == "error: RECURSEQ_MAX_INDEX is not an integer: invalid int value of 5000 characters\n"
+        monkeypatch.setenv("RECURSEQ_MAX_INDEX", "9" * 99 + "x")
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5")
+        assert (code, err) == (2, f"error: RECURSEQ_MAX_INDEX='{'9' * 99}x' is not an integer\n")
+
+    def test_long_decimal_format_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5", "--format", "decimal:" + "1" * 5000)
+        assert code == 2 and len(err.encode()) < 300
+        assert err.splitlines()[-1] == "recurseq seq: error: argument --format: invalid int value of 5000 characters"
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5", "--format", "decimal:1x")
+        assert code == 2
+        assert err.splitlines()[-1] == "recurseq seq: error: argument --format: invalid parse value: 'decimal:1x'"
 
     def test_non_real_root_with_huge_coefficients_exit_5(self, capsys, default_str_guard):
         big = "1" + "0" * 2200

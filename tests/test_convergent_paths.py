@@ -1,4 +1,4 @@
-"""sigma indexing, the period-2 convergent past the memo limit, and the
+"""sigma indexing, the period-2 convergent at indices around 4096, and the
 acceleration seed entries, each against a direct reference."""
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ class TestSigmaIndex:
             PeriodicQuadCF(1, 1, 1).sigma(i)
 
     @pytest.mark.parametrize("i", [-1, -2, -3, -11])
-    def test_negative_index_raises_after_the_memo_fills(self, i):
+    def test_negative_index_raises_after_a_valid_call(self, i):
         qcf = PeriodicQuadCF(1, 1, 1)
         assert qcf.sigma(10) == 55
         with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ class TestQuadConvergent:
         expected = reference_convergent(a, b, c, n)
         for qcf in (PeriodicQuadCF(a, b, c), PeriodicQuadCF(a, b, c)):
             if n > 7:
-                qcf.sigma(9)  # a partly filled memo must not matter
+                qcf.sigma(9)  # an earlier sigma call must not matter
             try:
                 got = quad_cf_convergent(qcf, n)
             except DegenerateConvergent:

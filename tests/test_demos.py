@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs cleanly against the library in src/."""
+"""Every script under demos/ runs cleanly against the library in src/ and prints
+exactly its expected output, kept in tests/data/<script>.stdout."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "data"
 
 
 def test_demos_exist():
@@ -21,8 +23,9 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        cwd=ROOT, env=env, capture_output=True, timeout=60,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stderr == b""
     assert result.stdout
+    assert result.stdout == (EXPECTED / f"{script.stem}.stdout").read_bytes()
