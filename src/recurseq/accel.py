@@ -8,11 +8,13 @@ g_n = s*g_{n-1} - t*g_{n-2}.  With alpha a root of t^2 - p*t + q,
 alpha^g = T_g + U_g*alpha in Z[t]/(t^2 - p*t + q), and the recurrence is the
 integer split
 
-    alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t},
+    alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}.
 
-a negative power being a power of the conjugate over a power of q.  core's
-_power_chain steps it for every scheme here and for cf.method_subsequence
-(the root-method chains W(1, 2, 1, -1) and W(1, m, m, 0)).  The single-step
+core's _power_chain steps it for every scheme here and for
+cf.method_subsequence (the root-method chains W(1, 2, 1, -1) and
+W(1, m, m, 0)): the split when it is a product of nonnegative powers
+(t <= 0 <= s), otherwise alpha^{g_n} from one pair evaluation at g_n, so
+no chain builds an integer larger than its entries.  The single-step
 ratio maps (shift, doubling, Fibonacci-index step) are one ring product each:
 the lift of x_k is alpha^(k-1), and the result is read back and reduced
 against a norm bound (see core).
@@ -172,13 +174,12 @@ def accelerate_general(
     chain engine: g_0 = i and g_1 = j are evaluated directly, and for n >= 2
     the index recurrence g_n = s*g_{n-1} - t*g_{n-2} is the integer split
 
-        alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}.
+        alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}
 
-    A negative power of alpha^g is the matching power of its conjugate
-    beta^g = (T_g + p*U_g) - U_g*alpha, divided by q^g (alpha*beta = q).
-    The ratio is x_{g_n} = U_{g_n} / U_{g_n - 1}, with
-    U_{g_n - 1} = -T_{g_n} / q; DegenerateRatio is raised exactly when that
-    vanishes, as in ratio_x.
+    when that is a product of nonnegative powers (t <= 0 <= s); otherwise
+    alpha^{g_n} is evaluated directly at g_n.  The ratio is
+    x_{g_n} = U_{g_n} / U_{g_n - 1}, with U_{g_n - 1} = -T_{g_n} / q;
+    DegenerateRatio is raised exactly when that vanishes, as in ratio_x.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
@@ -207,10 +208,10 @@ def arithmetic_index_accel(
 ) -> list[AccelerationEntry]:
     """Ratios along the arithmetic index progression g_n = k*n + h.
 
-    This is accelerate_general on g = W(h, h+k, 2, 1), so each step is
-    alpha^{g_n} = (alpha^{g_{n-1}})^2 * beta^{g_{n-2}} / q^{g_{n-2}}.
-    The entry at g_0 = h is evaluated before g_1 = h + k is refused for
-    being < 2, so count = 1 never looks at h + k.
+    This is accelerate_general on g = W(h, h+k, 2, 1).  Since t = 1 > 0,
+    its split would need a power of the conjugate, so each entry is
+    evaluated directly at g_n.  The entry at g_0 = h is evaluated before
+    g_1 = h + k is refused for being < 2, so count = 1 never looks at h + k.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .core import _check_index, _pair, _power_chain, _reduced
 from .errors import DegenerateConvergent, NonRealRoots
-from .formatting import format_rational
+from .formatting import _quoted, format_rational
 from .roots import _METHODS, _index_chain
 
 _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -72,19 +72,19 @@ class RationalCF:
         if tail.strip():
             m = _PERIOD_RE.match(tail.strip())
             if not m:
-                raise ValueError(f"malformed period suffix {tail.strip()!r}")
+                raise ValueError(f"malformed period suffix {_quoted(tail.strip())}")
             period = int(m.group(1))
         quotients = []
         for token in head.split(","):
             token = token.strip()
             m = _QUOTIENT_RE.match(token)
             if not m:
-                raise ValueError(f"malformed partial quotient {token!r}")
+                raise ValueError(f"malformed partial quotient {_quoted(token)}")
             quotients.append((int(m.group(1)), int(m.group(2) or 1)))
         return cls(tuple(quotients), period)
 
     def __str__(self) -> str:
-        body = ", ".join(f"{a}/{b}" for a, b in self.quotients)
+        body = ", ".join(f"{format_rational(a)}/{format_rational(b)}" for a, b in self.quotients)
         return body if self.period is None else f"{body} | period={self.period}"
 
 

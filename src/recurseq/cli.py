@@ -25,7 +25,7 @@ from .errors import (
     NonRealRoots,
     NoProgress,
 )
-from .formatting import format_decimal, format_rational
+from .formatting import _MAX_ECHO, format_decimal, format_rational
 
 ENV_MAX_INDEX = "RECURSEQ_MAX_INDEX"
 
@@ -55,6 +55,7 @@ class OutputFormat:
             if digits < 1:
                 raise ValueError("decimal digits must be >= 1")
             return cls("decimal", digits)
+        _refuse_long(text, "format")
         raise ValueError(f"unknown format {text!r}; expected rational, decimal:N, or records")
 
     def render(self, value) -> str:
@@ -254,14 +255,25 @@ def cmd_verify(args, max_index) -> int:
     return EXIT_OK if passed == total else EXIT_VERIFY_FAIL
 
 
+def _refuse_long(text: str, what: str) -> None:
+    """Refuse a value past _MAX_ECHO characters by its length alone, so argparse does not echo it."""
+    if len(text) > _MAX_ECHO:
+        raise argparse.ArgumentTypeError(f"invalid {what} of {len(text)} characters")
+
+
 def _int_argument(text: str) -> int:
-    """int(text), refusing a malformed value past 100 characters by its length alone."""
+    """int(text), refusing a malformed value past _MAX_ECHO characters by its length alone."""
     try:
         return int(text)
     except ValueError:
-        if len(text) <= 100:
-            raise  # argparse reports "invalid int value: 'text'"
-        raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters") from None
+        _refuse_long(text, "int value")
+        raise  # argparse reports "invalid int value: 'text'"
+
+
+def _choice_argument(text: str) -> str:
+    """text, which argparse then checks against the choices, refused by length past _MAX_ECHO."""
+    _refuse_long(text, "choice")
+    return text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -314,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme",
         required=True,
+        type=_choice_argument,
         choices=["double", "fib-index", "arith", "general", "shift"],
     )
     p.add_argument("--count", type=int, default=1)
@@ -333,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=int, required=True)
     p.add_argument("-b", type=int, required=True)
     p.add_argument("-c", type=int, required=True)
-    p.add_argument("--method", required=True, choices=["secant", "newton", "halley", "householder"])
+    p.add_argument(
+        "--method", required=True, type=_choice_argument, choices=["secant", "newton", "halley", "householder"]
+    )
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--order", type=int, default=3, help="derivative order for householder")
     p.add_argument("--max-iterations", type=int, default=64)
@@ -349,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_cf)
 
     p = sub.add_parser("verify", help="batch-check identities and method equivalences")
-    p.add_argument("identity", choices=sorted(_VERIFIERS))
+    p.add_argument("identity", type=_choice_argument, choices=sorted(_VERIFIERS))
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--k-max", type=int, default=5)
     p.add_argument("--d-max", type=int, default=5)

@@ -134,14 +134,11 @@ def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[i
 
 
 def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
-    """a^m in Z[t]/(t^2 - p*t + q) by square-and-multiply; for m < 0, conj(a)^(-m)
-    = N(a)^(-m) * a^m, which for a = alpha^k is q^(-m*k) * alpha^(m*k).
+    """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply.
 
     A squaring costs three full-size products: (e0 + e1*t)^2 =
     (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.
     """
-    if m < 0:
-        a, m = (a[0] + p * a[1], -a[1]), -m
     if m == 0:
         return 1, 0
     e0, e1 = a
@@ -155,33 +152,34 @@ def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
 def _power_chain(p: int, q: int, k0: int, k1: int, s: int, t: int, count: int, max_index: int | None):
     """Yield (k_n, alpha^{k_n} as (T, U)) for n < count along k_n = s*k_{n-1} - t*k_{n-2}.
 
-    Seeds come from one _pair each (alpha^k = -q*U_{k-1} + U_k*alpha), later
-    powers from the split (alpha^{k_{n-1}})^s * (alpha^{k_{n-2}})^{-t}, divided
-    exactly by the power of q its conjugates carry.  Each index is held to
-    the cap when reached (s and t once a third entry is asked for), and a
-    generated index must be >= 2.
+    Where t <= 0 <= s, a step takes the paper's split (alpha^{k_{n-1}})^s *
+    (alpha^{k_{n-2}})^{-t}, a product of nonnegative powers; otherwise (it
+    would need a power of the conjugate), and for the seeds, alpha^k is
+    -q*U_{k-1} + U_k*alpha from one _pair.  Every product thus multiplies
+    powers whose exponents sum to k_n, so none is larger than its entry and
+    the index cap bounds the cost.  Each index is held to the cap when
+    reached (s and t once a third entry is asked for), and a generated index
+    must be >= 2.
     """
-    power1 = None
-    for k in (k0, k1)[:count]:
+    seeds, split, power1 = (k0, k1), t <= 0 <= s, None
+    for n in range(count):
+        if n < 2:
+            k = seeds[n]
+        else:
+            if n == 2:
+                _check_index(s, max_index)
+                _check_index(t, max_index)
+            k = s * k1 - t * k0
+            if k < 2:
+                raise ValueError(f"generated index g_{n} = {format_rational(k)} is < 2")
         _check_index(k, max_index)
-        u_prev, u = _pair(p, q, k - 1)
-        power0, power1 = power1, (-q * u_prev, u)
-        yield k, power1
-    if count <= 2:
-        return
-    _check_index(s, max_index)
-    _check_index(t, max_index)
-    for n in range(2, count):
-        k = s * k1 - t * k0
-        if k < 2:
-            raise ValueError(f"generated index g_{n} = {format_rational(k)} is < 2")
-        _check_index(k, max_index)
-        power = power1 if s == 1 else _ring_pow(p, q, power1, s)
-        if t:
-            power = _ring_mul(p, q, power, power0 if t == -1 else _ring_pow(p, q, power0, -t))
-        if t > 0 or s < 0:  # conj(alpha^k)^c carries q^(c*k)
-            scale = q ** (max(t, 0) * k0 + max(-s, 0) * k1)
-            power = power[0] // scale, power[1] // scale
+        if n >= 2 and split:
+            power = power1 if s == 1 else _ring_pow(p, q, power1, s)
+            if t:
+                power = _ring_mul(p, q, power, power0 if t == -1 else _ring_pow(p, q, power0, -t))
+        else:
+            u_prev, u = _pair(p, q, k - 1)
+            power = -q * u_prev, u
         yield k, power
         k0, power0, k1, power1 = k1, power1, k, power
 

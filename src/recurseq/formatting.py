@@ -14,6 +14,10 @@ _STR_BITS = 12_288
 # Leaves of the divide-and-conquer conversion go to Decimal(int) directly.
 _LEAF_BITS = 1024
 
+# Caller text past this many characters is described by its length in error
+# messages, never echoed back whole.
+_MAX_ECHO = 100
+
 
 def _int_text(n: int) -> str:
     """Decimal digits of n, never calling str() on an int past _STR_BITS.
@@ -64,6 +68,11 @@ def format_rational(value) -> str:
     if f.denominator == 1:
         return _int_text(f.numerator)
     return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
+
+
+def _quoted(text: str) -> str:
+    """repr(text) for an error message, or "of N characters" past _MAX_ECHO characters."""
+    return repr(text) if len(text) <= _MAX_ECHO else f"of {len(text)} characters"
 
 
 def parse_rational(text: str) -> Fraction:

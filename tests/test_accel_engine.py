@@ -11,6 +11,7 @@ arithmetic and U_{g-1} alone.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -40,6 +41,7 @@ from recurseq import (
     verify_fkn_identity,
     verify_nested_fibonacci_identity,
 )
+from recurseq import core
 from recurseq.errors import RecurseqError
 from oracles import naive_fib
 
@@ -316,6 +318,71 @@ class TestArithmeticIndex:
         assert [e.index for e in arithmetic_index_accel(RecurrenceParams(1, -1), 3, -5, 1)] == [3]
         with pytest.raises(ValueError):
             arithmetic_index_accel(RecurrenceParams(1, -1), 3, -5, 2)
+
+
+# -- chain cost: no product larger than the entries ---------------------------
+
+def bits(element):
+    return max(abs(element[0]).bit_length(), abs(element[1]).bit_length())
+
+
+def built_bits(run):
+    """run(), and the largest bit length of any ring product or power core builds meanwhile."""
+    built = [0]
+
+    def recording(fn):
+        def wrapper(*args):
+            result = fn(*args)
+            built.append(bits(result))
+            return result
+        return wrapper
+
+    with patch.object(core, "_ring_mul", recording(core._ring_mul)), \
+            patch.object(core, "_ring_pow", recording(core._ring_pow)):
+        result = run()
+    return result, max(built)
+
+
+def chain_powers(params, g, count):
+    """The (k, (T, U)) pairs the chain engine yields before it stops or refuses an index."""
+    yielded = []
+    try:
+        for entry in core._power_chain(params.p, params.q, g.i, g.j, g.s, g.t, count, None):
+            yielded.append(entry)
+    except ValueError:  # a generated index < 2
+        pass
+    return yielded
+
+
+class TestChainSize:
+    @given(
+        params=st.tuples(st.integers(-6, 6), st.integers(-6, 6).filter(bool)).map(lambda pq: RecurrenceParams(*pq)),
+        i=st.integers(2, 40),
+        j=st.integers(2, 40),
+        s=st.integers(-2, 3),
+        t=st.integers(-3, 3),
+        count=st.integers(1, 6),
+    )
+    @example(params=RecurrenceParams(1, -1), i=2, j=1002, s=2, t=1, count=6)  # arithmetic progression
+    @example(params=RecurrenceParams(3, -5), i=40, j=3, s=-2, t=-3, count=3)  # s < 0
+    def test_nothing_built_past_the_entries(self, params, i, j, s, t, count):
+        """Every product multiplies powers whose exponents sum to an entry's index.
+
+        Such a partial product can exceed the entry only by the trigonometric
+        and 1/(alpha - beta) factors of T and U, so the slack is the bit length
+        of the largest index plus that of q.
+        """
+        yielded, built = built_bits(lambda: chain_powers(params, IndexSequenceParams(i, j, s, t), count))
+        largest_index = max(k for k, _ in yielded)
+        slack = largest_index.bit_length() + abs(params.q).bit_length()
+        assert built <= max(bits(power) for _, power in yielded) + slack
+
+    def test_conjugate_step_evaluates_the_index_directly(self):
+        params = RecurrenceParams(3, -5)
+        entries, built = built_bits(
+            lambda: accelerate_general(params, IndexSequenceParams(2, 2, 10**4, 10**4 - 1), 3))
+        assert [e.x for e in entries] == [ratio_x(params, 2)] * 3
+        assert built <= 64
 
 
 # -- the single-step ratio maps -----------------------------------------------

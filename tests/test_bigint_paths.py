@@ -326,6 +326,11 @@ class TestTypedErrorsUnderDefaultGuard:
             recurseq.RationalCF(((1, 1),)).quotient(n)
         assert str(info.value) == f"quotient {format_rational(n)} requested but only 1 exist and no period is set"
 
+    def test_rational_cf_renders_huge_quotients(self, default_str_guard):
+        n = 10**5000
+        cf = recurseq.RationalCF(((n, 1), (1, -n)), period=1)
+        assert str(cf) == f"{format_rational(n)}/1, 1/-{format_rational(n)} | period=1"
+
 
 def test_no_module_holds_a_functools_cache():
     """No cache keyed by user input can grow: the package keeps no functools cache."""

@@ -331,6 +331,50 @@ class TestUnderDefaultStrGuard:
         assert code == 2
         assert err.splitlines()[-1] == "recurseq seq: error: argument --format: invalid parse value: 'decimal:1x'"
 
+    def test_long_method_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--digits", "5",
+                                   "--method", "x" * 5000)
+        assert code == 2 and len(err.encode()) < 400
+        assert err.splitlines()[-1] == "recurseq root: error: argument --method: invalid choice of 5000 characters"
+        code, _, err = run_guarded(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--digits", "5",
+                                   "--method", "x" * 100)
+        assert code == 2 and f"invalid choice: '{'x' * 100}' (choose from" in err
+
+    def test_long_scheme_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "accelerate", "-p", "1", "-q", "-1", "--scheme", "x" * 5000)
+        assert code == 2 and len(err.encode()) < 500
+        assert err.splitlines()[-1] == (
+            "recurseq accelerate: error: argument --scheme: invalid choice of 5000 characters")
+        code, _, err = run_guarded(capsys, "accelerate", "-p", "1", "-q", "-1", "--scheme", "bogus")
+        assert code == 2 and "invalid choice: 'bogus' (choose from" in err
+
+    def test_long_identity_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "verify", "x" * 5000)
+        assert code == 2 and len(err.encode()) < 400
+        assert err.splitlines()[-1] == "recurseq verify: error: argument identity: invalid choice of 5000 characters"
+        code, _, err = run_guarded(capsys, "verify", "bogus")
+        assert code == 2 and "invalid choice: 'bogus' (choose from" in err
+
+    def test_long_format_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5", "--format", "x" * 5000)
+        assert code == 2 and len(err.encode()) < 300
+        assert err.splitlines()[-1] == "recurseq seq: error: argument --format: invalid format of 5000 characters"
+        code, _, err = run_guarded(capsys, "seq", "-p", "1", "-q", "-1", "-n", "5", "--format", "x" * 100)
+        assert code == 2
+        assert err.splitlines()[-1] == f"recurseq seq: error: argument --format: invalid parse value: '{'x' * 100}'"
+
+    def test_long_partial_quotient_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "cf", "1/1, " + "x" * 5000, "--count", "2")
+        assert (code, err) == (2, "error: malformed partial quotient of 5000 characters\n")
+        code, _, err = run_guarded(capsys, "cf", "1/1, " + "x" * 100, "--count", "2")
+        assert (code, err) == (2, f"error: malformed partial quotient '{'x' * 100}'\n")
+
+    def test_long_period_suffix_is_reported_by_length(self, capsys, default_str_guard):
+        code, _, err = run_guarded(capsys, "cf", "1/1 | " + "x" * 5000, "--count", "2")
+        assert (code, err) == (2, "error: malformed period suffix of 5000 characters\n")
+        code, _, err = run_guarded(capsys, "cf", "1/1 | " + "x" * 100, "--count", "2")
+        assert (code, err) == (2, f"error: malformed period suffix '{'x' * 100}'\n")
+
     def test_non_real_root_with_huge_coefficients_exit_5(self, capsys, default_str_guard):
         big = "1" + "0" * 2200
         code, _, err = run_guarded(capsys, "root", "-a", big, "-b", "1", "-c", "-" + big, "--method", "newton",

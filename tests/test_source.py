@@ -1,0 +1,81 @@
+"""Static checks over the package source, with the stdlib ast module alone.
+
+No linter ships with the project, so these two rules guard deletions: an
+import left behind, or a private helper whose last caller is gone.
+"""
+
+import ast
+from pathlib import Path
+
+import recurseq
+
+SOURCES = sorted(Path(recurseq.__file__).parent.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def referenced_names(tree):
+    """Every name the module reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def imported_names(tree):
+    """(bound name, line) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def private_definitions(tree):
+    """(name, line) for each module-level _-prefixed function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_sources_found():
+    assert {path.name for path in SOURCES} >= {"__init__.py", "core.py", "cli.py"}
+
+
+def test_no_unused_import():
+    """__init__.py is exempt: its imports are the package's re-exports."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = referenced_names(tree)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_name():
+    trees = {path.name: parse(path) for path in SOURCES}
+    used = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unreferenced = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree)
+        if private not in used
+    ]
+    assert unreferenced == []
