@@ -33,6 +33,16 @@ _QUOTIENT_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _PERIOD_RE = re.compile(r"^period\s*=\s*(\d+)$")
 
 
+def _ints(what: str, text: str, *numerals: str) -> tuple[int, ...]:
+    """int() of each numeral matched in text.  A numeral past the interpreter's
+    int-from-text digit guard is refused with text described by _quoted, not
+    with the guard's own message."""
+    try:
+        return tuple(map(int, numerals))
+    except ValueError:
+        raise ValueError(f"{what} {_quoted(text)} has too many digits") from None
+
+
 @dataclass(frozen=True)
 class RationalCF:
     """Partial quotients (a_i, b_i), optionally cycling over the last `period` entries."""
@@ -73,14 +83,14 @@ class RationalCF:
             m = _PERIOD_RE.match(tail.strip())
             if not m:
                 raise ValueError(f"malformed period suffix {_quoted(tail.strip())}")
-            period = int(m.group(1))
+            (period,) = _ints("period suffix", tail.strip(), m.group(1))
         quotients = []
         for token in head.split(","):
             token = token.strip()
             m = _QUOTIENT_RE.match(token)
             if not m:
                 raise ValueError(f"malformed partial quotient {_quoted(token)}")
-            quotients.append((int(m.group(1)), int(m.group(2) or 1)))
+            quotients.append(_ints("partial quotient", token, m.group(1), m.group(2) or "1"))
         return cls(tuple(quotients), period)
 
     def __str__(self) -> str:
@@ -218,7 +228,7 @@ def method_subsequence(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
     if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected secant, newton, or halley")
+        raise ValueError(f"unknown method {_quoted(method)}; expected secant, newton, or halley")
     disc = qcf.b * qcf.b + 4 * qcf.a * qcf.c
     if disc <= 0:
         raise NonRealRoots(

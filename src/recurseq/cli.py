@@ -8,13 +8,13 @@ Exit codes: 0 ok, 1 verification failure, 2 usage, 3 resource cap,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
 
-from . import accel, cf, core, roots
-from .accel import IndexSequenceParams
+# Every subcommand needs these three; accel, roots, cf and json are imported by
+# the handlers that use them, so a call loads only the modules it runs.
+from . import core
 from .core import LinRecSequence, RecurrenceParams
 from .errors import (
     DegenerateConvergent,
@@ -64,10 +64,15 @@ class OutputFormat:
         return format_rational(value)
 
 
+def _print_record(record: dict) -> None:
+    import json
+    print(json.dumps(record))
+
+
 def _emit_pair(fmt: OutputFormat, index: int, value, method: str, bare: bool = False) -> None:
     """One result: a JSON record, or the text line "index value" ("value" when bare)."""
     if fmt.mode == "records":
-        print(json.dumps({"index": index, "value": format_rational(value), "method": method}))
+        _print_record({"index": index, "value": format_rational(value), "method": method})
     else:
         print(fmt.render(value) if bare else f"{index} {fmt.render(value)}")
 
@@ -97,6 +102,7 @@ def cmd_seq(args, max_index) -> int:
 
 
 def cmd_ratio(args, max_index) -> int:
+    from . import accel
     seq = LinRecSequence(args.a0, args.a1, RecurrenceParams(args.p, args.q))
     _require(args.count >= 1, "--count must be >= 1")
     for n in range(args.n, args.n + args.count):
@@ -110,6 +116,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_accelerate(args, max_index) -> int:
+    from . import accel
     params = RecurrenceParams(args.p, args.q)
     scheme = args.scheme
     _require(args.count >= 1, "--count must be >= 1")
@@ -131,13 +138,13 @@ def cmd_accelerate(args, max_index) -> int:
         entries = accel.arithmetic_index_accel(params, args.h, args.k, args.count, max_index)
     else:
         if scheme == "double":
-            g = IndexSequenceParams(args.start, 2 * args.start, 2, 0)
+            g = accel.IndexSequenceParams(args.start, 2 * args.start, 2, 0)
         elif scheme == "fib-index":
-            g = IndexSequenceParams(2, 3, 1, -1)
+            g = accel.IndexSequenceParams(2, 3, 1, -1)
         else:  # general
             missing = [flag for flag in ("i", "j", "s", "t") if getattr(args, flag) is None]
             _require(not missing, f"general scheme needs --{', --'.join(missing)}")
-            g = IndexSequenceParams(args.i, args.j, args.s, args.t)
+            g = accel.IndexSequenceParams(args.i, args.j, args.s, args.t)
         entries = accel.accelerate_general(params, g, args.count, max_index)
     for entry in entries:
         _emit_pair(args.format, entry.index, entry.x, scheme)
@@ -145,6 +152,7 @@ def cmd_accelerate(args, max_index) -> int:
 
 
 def cmd_root(args, max_index) -> int:
+    from . import roots
     f = roots.QuadraticABC(args.a, args.b, args.c)
     decimal, iterates = roots.approximate_root_with_trace(
         f, args.method, args.digits, order=args.order, max_iterations=args.max_iterations
@@ -154,17 +162,18 @@ def cmd_root(args, max_index) -> int:
         key, word = ("index", "idx") if labels else ("step", "step")
         for n, y in zip(labels or range(len(iterates)), iterates):
             if args.format.mode == "records":
-                print(json.dumps({key: n, "value": format_rational(y), "method": args.method}))
+                _print_record({key: n, "value": format_rational(y), "method": args.method})
             else:
                 print(f"{word} {n} → {format_rational(y)}")
     if args.format.mode == "records":
-        print(json.dumps({"method": args.method, "digits": args.digits, "value": decimal}))
+        _print_record({"method": args.method, "digits": args.digits, "value": decimal})
     else:
         print(decimal)
     return EXIT_OK
 
 
 def cmd_cf(args, max_index) -> int:
+    from . import cf
     cfobj = cf.RationalCF.parse(args.cf)
     make = cf.convergents_integer if args.integer else cf.convergents_direct
     method = "cf-integer" if args.integer else "cf-direct"
@@ -174,6 +183,7 @@ def cmd_cf(args, max_index) -> int:
 
 
 def _verify_nested_fib(args, max_index):
+    from . import accel
     _require(args.n_max >= 3, "--n-max must be >= 3")
     for n in range(3, args.n_max + 1):
         ok = accel.verify_nested_fibonacci_identity(n, max_index)
@@ -181,6 +191,7 @@ def _verify_nested_fib(args, max_index):
 
 
 def _verify_fkn(args, max_index):
+    from . import accel
     _require(args.k_max >= 1 and args.n_max >= 2, "--k-max must be >= 1 and --n-max >= 2")
     for k in range(1, args.k_max + 1):
         for n in range(2, args.n_max + 1):
@@ -189,6 +200,7 @@ def _verify_fkn(args, max_index):
 
 
 def _verify_cubic(args, max_index):
+    from . import accel
     _require(args.n_max >= 3, "--n-max must be >= 3")
     for n in range(3, args.n_max + 1):
         ok = accel.verify_cubic_fibonacci_identity(n, max_index)
@@ -196,6 +208,7 @@ def _verify_cubic(args, max_index):
 
 
 def _verify_method_maps(args, max_index):
+    from . import accel, roots
     _require(args.k_max >= 2 and args.d_max >= 0, "--k-max must be >= 2 and --d-max >= 0")
     params = RecurrenceParams(args.p, args.q)
     abc = roots.QuadraticABC(1, args.p, -args.q)
@@ -217,6 +230,7 @@ def _verify_method_maps(args, max_index):
 
 
 def _verify_cf_threeway(args, max_index):
+    from . import cf
     _require(args.n_max >= 0, "--n-max must be >= 0")
     qcf = cf.PeriodicQuadCF(args.a, args.b, args.c)
     expanded = qcf.to_rational_cf()

@@ -71,8 +71,8 @@ def format_rational(value) -> str:
 
 
 def _quoted(text: str) -> str:
-    """repr(text) for an error message, or "of N characters" past _MAX_ECHO characters."""
-    return repr(text) if len(text) <= _MAX_ECHO else f"of {len(text)} characters"
+    """repr(text) for an error message, or "of N characters" for a str past _MAX_ECHO characters."""
+    return f"of {len(text)} characters" if isinstance(text, str) and len(text) > _MAX_ECHO else repr(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -89,6 +89,8 @@ def format_decimal(value, digits: int) -> str:
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {format_rational(digits)}")
     f = Fraction(value)
+    if f.denominator == 1:  # nothing to round
+        return f"{'-' if f.numerator < 0 else ''}{_int_text(abs(f.numerator))}.{'0' * digits}"
     negative = f < 0
     if negative:
         f = -f

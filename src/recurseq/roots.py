@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .core import _bounded_fraction, _lift, _ring_mul, _ring_pow
 from .errors import DegenerateStep, NonRealRoots, NoProgress
-from .formatting import format_decimal, format_rational
+from .formatting import _quoted, format_decimal, format_rational
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def _method(name: str, order: int | None = None) -> tuple[int | None, str]:
             raise ValueError("householder method needs an order >= 1")
         return order + 1, f"Householder order-{order} denominator vanished"
     if name not in _METHODS:
-        raise ValueError(f"unknown method {name!r}")
+        raise ValueError(f"unknown method {_quoted(name)}")
     return _METHODS[name]
 
 

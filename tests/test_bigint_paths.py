@@ -208,6 +208,27 @@ class TestIntText:
             assert _int_text(-n) == str(-n)
 
 
+def scaled_decimal(value: Fraction, digits: int) -> str:
+    """format_decimal's general route: scale by 10**digits, round half-even, split."""
+    negative, f = value < 0, abs(value)
+    scale = 10**digits
+    quot, rem = divmod(f.numerator * scale, f.denominator)
+    if 2 * rem > f.denominator or (2 * rem == f.denominator and quot % 2 == 1):
+        quot += 1
+    int_part, frac_part = divmod(quot, scale)
+    sign = "-" if negative and quot != 0 else ""
+    return f"{sign}{int_part}.{str(frac_part).rjust(digits, '0')}"
+
+
+class TestIntegerDecimals:
+    @given(n=st.integers(-10**40, 10**40) | st.integers(-(2**20_000), 2**20_000), digits=st.integers(1, 1000))
+    @example(n=0, digits=1)
+    @example(n=-1, digits=1000)
+    def test_matches_the_scaled_route(self, n, digits):
+        assert format_decimal(n, digits) == scaled_decimal(Fraction(n), digits)
+        assert format_decimal(Fraction(n), digits) == scaled_decimal(Fraction(n), digits)
+
+
 def decimal_text(n: int) -> str:
     return str(Decimal(n))
 

@@ -26,6 +26,19 @@ from oracles import frac_to_decimal, larger_root, naive_fib
 
 
 class TestRationalCF:
+    def test_numeral_past_the_digit_guard_is_described_by_length(self, default_str_guard):
+        token = "1" + "0" * 5000 + "/1"
+        with pytest.raises(ValueError) as info:
+            RationalCF.parse(f"2, {token}")
+        assert str(info.value) == "partial quotient of 5003 characters has too many digits"
+        with pytest.raises(ValueError) as info:
+            RationalCF.parse("2 | period=" + "1" * 5000)
+        assert str(info.value) == "period suffix of 5007 characters has too many digits"
+
+    def test_huge_quotients_round_trip_without_the_guard(self):
+        cf = RationalCF(((10**6000, 3), (-7, 10**5000 + 1)), period=1)
+        assert RationalCF.parse(str(cf)) == cf
+
     def test_parse_and_render_round_trip(self):
         cf = RationalCF.parse("1/2, 1/3")
         assert cf.quotients == ((1, 2), (1, 3))
@@ -194,6 +207,15 @@ class TestMethodSubsequence:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             method_subsequence(PeriodicQuadCF(1, 1, 1), "bisection", 3)
+
+    def test_long_unknown_method_is_described_by_length(self):
+        expected = "; expected secant, newton, or halley"
+        with pytest.raises(ValueError) as info:
+            method_subsequence(PeriodicQuadCF(1, 1, 1), "x" * 5000, 3)
+        assert str(info.value) == "unknown method of 5000 characters" + expected
+        with pytest.raises(ValueError) as info:
+            method_subsequence(PeriodicQuadCF(1, 1, 1), "x" * 100, 3)
+        assert str(info.value) == f"unknown method '{'x' * 100}'" + expected
 
     def test_values_equal_iterated_methods(self):
         rng = random.Random(1618)

@@ -195,6 +195,17 @@ class TestApproximateRoot:
         with pytest.raises(ValueError):
             QuadraticABC(0, 1, 1)
 
+    def test_long_unknown_method_is_described_by_length(self):
+        with pytest.raises(ValueError) as info:
+            approximate_root(GOLDEN, "x" * 5000, 5)
+        assert str(info.value) == "unknown method of 5000 characters"
+        with pytest.raises(ValueError) as info:
+            approximate_root(GOLDEN, "x" * 100, 5)
+        assert str(info.value) == f"unknown method '{'x' * 100}'"
+        with pytest.raises(ValueError) as info:
+            approximate_root(GOLDEN, None, 5)
+        assert str(info.value) == "unknown method None"
+
     def test_rejects_negative_max_iterations(self):
         with pytest.raises(ValueError, match="max_iterations"):
             approximate_root_with_trace(GOLDEN, "newton", 5, max_iterations=-1)

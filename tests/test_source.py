@@ -1,7 +1,9 @@
 """Static checks over the package source, with the stdlib ast module alone.
 
-No linter ships with the project, so these two rules guard deletions: an
-import left behind, or a private helper whose last caller is gone.
+No linter ships with the project, so two rules guard deletions: an import
+left behind, or a private helper whose last caller is gone.  Two more keep
+start-up cheap: the package and the CLI import no module at load time that a
+call may not need.
 """
 
 import ast
@@ -53,16 +55,39 @@ def private_definitions(tree):
                 yield name, node.lineno
 
 
+def load_time_statements(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def load_time_package_imports(tree):
+    """The package modules a module imports when it is itself imported."""
+    names = set()
+    for node in load_time_statements(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:  # from .core import x
+                names.add(node.module.split(".")[0])
+            elif node.level or node.module == "recurseq":  # from . import core
+                names.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("recurseq."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("recurseq."))
+    return names
+
+
 def test_sources_found():
     assert {path.name for path in SOURCES} >= {"__init__.py", "core.py", "cli.py"}
 
 
 def test_no_unused_import():
-    """__init__.py is exempt: its imports are the package's re-exports."""
     unused = []
     for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
         tree = parse(path)
         used = referenced_names(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used]
@@ -79,3 +104,14 @@ def test_no_unreferenced_private_name():
         if private not in used
     ]
     assert unreferenced == []
+
+
+def test_package_init_imports_no_submodule():
+    """Each public name is imported on first use, so `import recurseq` loads nothing else."""
+    assert load_time_package_imports(parse(Path(recurseq.__file__))) == set()
+
+
+def test_cli_imports_only_what_every_subcommand_needs():
+    """accel, roots and cf are imported inside the handlers that call them."""
+    cli = Path(recurseq.__file__).with_name("cli.py")
+    assert load_time_package_imports(parse(cli)) <= {"core", "errors", "formatting"}
