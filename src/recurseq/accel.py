@@ -22,14 +22,14 @@ against a norm bound (see core).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .core import (
     LinRecSequence,
     RecurrenceParams,
+    _Value,
     _bounded_fraction,
     _check_index,
     _lift,
@@ -140,25 +140,29 @@ def fibonacci_index_accel(
     return _bounded_fraction(e0 + p * e1, e1, q * _norm(p, q, v))
 
 
-@dataclass(frozen=True)
-class IndexSequenceParams:
+class IndexSequenceParams(_Value):
     """Order-2 index recurrence g = W(i, j, s, t): g_n = s*g_{n-1} - t*g_{n-2}.
 
     Every index this generates must be >= 2, since x_1 = U_1/U_0 divides by
     zero; violations are rejected when the indices are produced.
     """
 
-    i: int
-    j: int
-    s: int
-    t: int
+    __slots__ = ("i", "j", "s", "t")
+
+    def __init__(self, i: int, j: int, s: int, t: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
 
-class AccelerationEntry(NamedTuple):
-    index: int
-    u: Fraction
-    t: Fraction
-    x: Fraction
+AccelerationEntry = namedtuple("AccelerationEntry", "index u t x")
+AccelerationEntry.__doc__ = """One entry of an acceleration: index g_n, U_{g_n}, T_{g_n} and x_{g_n}.
+
+u and t are Fractions that wrap the integers U_{g_n} and T_{g_n}.  They are
+a relic of a scaling by 1/q^index that is gone, and stay Fractions because
+they are public fields.
+"""
 
 
 def accelerate_general(

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _check_index, _pair, _power_chain, _reduced
+from .core import _Value, _check_index, _pair, _power_chain, _reduced
 from .errors import DegenerateConvergent, NonRealRoots
 from .formatting import _quoted, format_rational
 from .roots import _METHODS, _index_chain
@@ -43,23 +43,23 @@ def _ints(what: str, text: str, *numerals: str) -> tuple[int, ...]:
         raise ValueError(f"{what} {_quoted(text)} has too many digits") from None
 
 
-@dataclass(frozen=True)
-class RationalCF:
+class RationalCF(_Value):
     """Partial quotients (a_i, b_i), optionally cycling over the last `period` entries."""
 
-    quotients: tuple[tuple[int, int], ...]
-    period: int | None = None
+    __slots__ = ("quotients", "period")
 
-    def __post_init__(self):
-        if not self.quotients:
+    def __init__(self, quotients: tuple[tuple[int, int], ...], period: int | None = None):
+        if not quotients:
             raise ValueError("a continued fraction needs at least one partial quotient")
-        for i, (a, b) in enumerate(self.quotients):
+        for i, (a, b) in enumerate(quotients):
             if a == 0 or b == 0:
                 raise ValueError(
                     f"partial quotient {i} is {format_rational(a)}/{format_rational(b)}; zeros are not allowed"
                 )
-        if self.period is not None and not 1 <= self.period <= len(self.quotients):
-            raise ValueError(f"period {format_rational(self.period)} out of range for {len(self.quotients)} quotients")
+        if period is not None and not 1 <= period <= len(quotients):
+            raise ValueError(f"period {format_rational(period)} out of range for {len(quotients)} quotients")
+        object.__setattr__(self, "quotients", quotients)
+        object.__setattr__(self, "period", period)
 
     def quotient(self, i: int) -> tuple[int, int]:
         """The i-th partial quotient, unrolling the periodic tail if present."""
@@ -163,20 +163,20 @@ def convergents_integer(cf: RationalCF, count: int) -> list[ConvergentRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class PeriodicQuadCF:
+class PeriodicQuadCF(_Value):
     """The period-2 continued fraction [b/a, b/c] for a*t^2 - b*t - c (a, b, c nonzero).
 
     When b^2 + 4ac > 0 its value is the larger-modulus root of that quadratic.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0 or self.c == 0:
+    def __init__(self, a: int, b: int, c: int):
+        if a == 0 or b == 0 or c == 0:
             raise ValueError("a, b, c must all be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def to_rational_cf(self) -> RationalCF:
         return RationalCF(((self.b, self.a), (self.b, self.c)), period=2)

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 # Every subcommand needs these three; accel, roots, cf and json are imported by
 # the handlers that use them, so a call loads only the modules it runs.
 from . import core
-from .core import LinRecSequence, RecurrenceParams
+from .core import LinRecSequence, RecurrenceParams, _Value
 from .errors import (
     DegenerateConvergent,
     DegenerateRatio,
@@ -37,12 +36,14 @@ EXIT_DEGENERATE = 4
 EXIT_NONREAL = 5
 
 
-@dataclass(frozen=True)
-class OutputFormat:
+class OutputFormat(_Value):
     """Rendering mode: reduced fractions, fixed-digit decimals, or JSON records."""
 
-    mode: str = "rational"
-    digits: int | None = None
+    __slots__ = ("mode", "digits")
+
+    def __init__(self, mode: str = "rational", digits: int | None = None):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def parse(cls, text: str) -> "OutputFormat":
@@ -400,6 +401,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if (args.format.digits or 0) > core.DEFAULT_INDEX_CAP:  # a fixed bound, not --max-index
+            raise IndexCapExceeded(f"decimal digits must be <= {core.DEFAULT_INDEX_CAP}")
         max_index = _resolve_max_index(args)
         return args.handler(args, max_index)
     except IndexCapExceeded as exc:

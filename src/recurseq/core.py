@@ -19,15 +19,11 @@ root steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 from .errors import IndexCapExceeded, InverseUnavailable
 from .formatting import format_rational
-
-Exact = Union[int, Fraction]
 
 #: Default bound on |index| for any sequence evaluation; see IndexCapExceeded.
 DEFAULT_INDEX_CAP = 10_000_000
@@ -41,53 +37,78 @@ def _check_index(n: int, max_index: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
+class _Value:
+    """Base of the immutable value types, whose fields are their __slots__.
+
+    Equality, hash and repr are those of a frozen dataclass with the same
+    fields, without importing dataclasses.  Each subclass writes its own
+    __init__, setting fields with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._astuple()
+
+
+class RecurrenceParams(_Value):
     """Coefficients (p, q) of the recurrence a_n = p*a_{n-1} - q*a_{n-2}.
 
     The associated characteristic polynomial is t^2 - p*t + q.  Note the
     sign convention: the Fibonacci numbers are (p, q) = (1, -1).
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class LinRecSequence:
+class LinRecSequence(_Value):
     """Initial conditions (a0, a1) together with recurrence coefficients."""
 
-    a0: int
-    a1: int
-    params: RecurrenceParams
+    __slots__ = ("a0", "a1", "params")
+
+    def __init__(self, a0: int, a1: int, params: RecurrenceParams):
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "params", params)
 
     def term(self, n: int, max_index: int | None = None) -> int:
         return term(self, n, max_index=max_index)
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """A 2x2 matrix with exact entries (ints or Fractions)."""
-
-    e11: Exact
-    e12: Exact
-    e21: Exact
-    e22: Exact
-
-    @staticmethod
-    def identity() -> "Matrix2":
-        return Matrix2(1, 0, 0, 1)
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def det(self) -> Exact:
-        return self.e11 * self.e22 - self.e12 * self.e21
+def __getattr__(name):
+    # Matrix2 is a dataclass; its module (and dataclasses) loads on first use.
+    if name == "Matrix2":
+        from ._matrix import Matrix2
+        return Matrix2
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pair(p: int, q: int, n: int) -> tuple[int, int]:
@@ -245,6 +266,8 @@ def companion_power(
     Negative powers require q != 0 (q is the determinant of M) and come out
     as Fractions with denominator q^|n|.
     """
+    from ._matrix import Matrix2
+
     _check_index(n, max_index)
     p, q = params.p, params.q
     if n >= 0:
@@ -266,7 +289,7 @@ def companion_power(
 
 def basis_ut(
     params: RecurrenceParams, n: int, max_index: int | None = None
-) -> tuple[Exact, Exact]:
+) -> tuple[int | Fraction, int | Fraction]:
     """The pair (U_n, T_n); integers for n >= 0, Fractions for n < 0.
 
     Negative indices extend the sequences through M^n = [[T_n, U_n], ...],

@@ -20,16 +20,14 @@ chains of cf.method_subsequence and the CLI's trace labels all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _bounded_fraction, _lift, _ring_mul, _ring_pow
+from .core import _Value, _bounded_fraction, _lift, _ring_mul, _ring_pow
 from .errors import DegenerateStep, NonRealRoots, NoProgress
 from .formatting import _quoted, format_decimal, format_rational
 
 
-@dataclass(frozen=True)
-class QuadraticABC:
+class QuadraticABC(_Value):
     """f(t) = a*t^2 - b*t - c with a != 0.
 
     Substituting t -> t/a and scaling shows the roots are 1/a times those of
@@ -37,13 +35,14 @@ class QuadraticABC:
     coefficients are (p, q) = (b, -a*c).
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: int, b: int, c: int):
+        if a == 0:
             raise ValueError("leading coefficient a must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def __call__(self, y):
         return self.a * y * y - self.b * y - self.c
@@ -55,12 +54,14 @@ class QuadraticABC:
         return QuadraticPQ(self.b, -self.a * self.c)
 
 
-@dataclass(frozen=True)
-class QuadraticPQ:
+class QuadraticPQ(_Value):
     """Monic form f(t) = t^2 - p*t + q (the characteristic-polynomial convention)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __call__(self, y):
         return y * y - self.p * y + self.q

@@ -5,10 +5,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from recurseq import PeriodicQuadCF, cf, format_rational, parse_rational, quad_cf_convergent, roots
+from recurseq import PeriodicQuadCF, cf, core, format_rational, parse_rational, quad_cf_convergent, roots
 from recurseq.cli import main
 
 
@@ -53,6 +54,20 @@ class TestSeq:
         monkeypatch.setenv("RECURSEQ_MAX_INDEX", "5")
         code, out, _ = run(capsys, "seq", "-p", "1", "-q", "-1", "-n", "10", "--max-index", "100")
         assert (code, out) == (0, "55\n")
+
+
+    @pytest.mark.parametrize("digits", [10**19, 10**11, 10**7 + 1])
+    def test_huge_decimal_digits_exit_3_before_any_term(self, capsys, monkeypatch, digits):
+        def unreachable(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(core, "term", unreachable)
+        code, out, err = run(capsys, "seq", "-p", "1", "-q", "-1", "-n", "10", "--format", f"decimal:{digits}")
+        assert (code, out, err) == (3, "", "error: decimal digits must be <= 10000000\n")
+
+    def test_digits_bound_does_not_follow_max_index(self, capsys):
+        code, out, _ = run(capsys, "seq", "-p", "1", "-q", "-1", "-n", "10", "--max-index", "20", "--format", "decimal:40")
+        assert (code, out) == (0, "55." + "0" * 40 + "\n")
 
 
 class TestRatio:

@@ -45,12 +45,12 @@ EXPORTS = {
 SUBMODULES = sorted(EXPORTS)
 
 
-def modules_after(code: str) -> set[str]:
-    """Names in sys.modules of a fresh interpreter after it runs code."""
+def modules_after(code: str, *flags: str) -> set[str]:
+    """Names in sys.modules of a fresh interpreter, started with flags, after it runs code."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(result.stdout.splitlines()[-1].split())
 
@@ -71,6 +71,26 @@ class TestColdStart:
     def test_root_leaves_accel_unloaded(self):
         loaded = modules_after(run_cli("root", "-a", "1", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5"))
         assert "recurseq.roots" in loaded and "recurseq.accel" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq", "-p", "1", "-q", "-1", "-n", "10"),
+            ("ratio", "-p", "1", "-q", "-1", "-n", "10"),
+            ("accelerate", "-p", "1", "-q", "-1", "--scheme", "double", "--count", "3"),
+            ("root", "-a", "1", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5"),
+            ("verify", "method-maps", "--n-max", "3"),
+            ("verify", "nested-fib", "--n-max", "3"),
+        ],
+        ids=["seq", "ratio", "accelerate", "root", "verify-method-maps", "verify-nested-fib"],
+    )
+    def test_subcommand_loads_no_dataclasses(self, argv):
+        """Only cf's ConvergentRecord and core's Matrix2 are dataclasses."""
+        assert {"dataclasses", "inspect"}.isdisjoint(modules_after(run_cli(*argv)))
+
+    def test_seq_loads_no_typing(self):
+        # -S: a site .pth hook may import typing before the probe runs.
+        assert "typing" not in modules_after(run_cli("seq", "-p", "1", "-q", "-1", "-n", "10"), "-S")
 
     def test_dir_star_import_and_submodules_after_bare_import(self):
         code = (

@@ -3,7 +3,8 @@
 No linter ships with the project, so two rules guard deletions: an import
 left behind, or a private helper whose last caller is gone.  Two more keep
 start-up cheap: the package and the CLI import no module at load time that a
-call may not need.
+call may not need, and the modules every call loads import neither
+dataclasses nor typing.
 """
 
 import ast
@@ -115,3 +116,19 @@ def test_cli_imports_only_what_every_subcommand_needs():
     """accel, roots and cf are imported inside the handlers that call them."""
     cli = Path(recurseq.__file__).with_name("cli.py")
     assert load_time_package_imports(parse(cli)) <= {"core", "errors", "formatting"}
+
+
+def test_every_call_loads_no_dataclasses_or_typing():
+    """The modules any CLI call loads import neither at load time (about 10 ms of start-up)."""
+    imports = []
+    for name in ("__init__", "core", "errors", "formatting", "cli"):
+        path = Path(recurseq.__file__).with_name(f"{name}.py")
+        for node in load_time_statements(parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            imports += [f"{name}.py:{node.lineno} {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")]
+    assert imports == []
