@@ -13,11 +13,11 @@ integer split
 core's _power_chain steps it for every scheme here and for
 cf.method_subsequence (the root-method chains W(1, 2, 1, -1) and
 W(1, m, m, 0)): the split when it is a product of nonnegative powers
-(t <= 0 <= s), otherwise alpha^{g_n} from one pair evaluation at g_n, so
-no chain builds an integer larger than its entries.  The single-step
-ratio maps (shift, doubling, Fibonacci-index step) are one ring product each:
-the lift of x_k is alpha^(k-1), and the result is read back and reduced
-against a norm bound (see core).
+(t <= 0 <= s), otherwise alpha^{g_n} as one power of alpha, so no chain
+builds an integer larger than its entries.  The single-step ratio maps
+(shift, doubling, Fibonacci-index step) are one ring product each: the lift
+of x_k is alpha^(k-1).  Every ratio is an element read back (core._readback)
+and reduced against a norm bound, or as a power of alpha.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ from .core import (
     LinRecSequence,
     RecurrenceParams,
     _Value,
-    _bounded_fraction,
     _check_index,
     _lift,
     _norm,
-    _pair,
     _power_chain,
-    _reduced,
+    _readback,
     _ring_mul,
     _ring_pow,
     fibonacci,
@@ -48,24 +46,23 @@ from .formatting import format_rational
 def ratio_x(
     params: RecurrenceParams, n: int, max_index: int | None = None
 ) -> Fraction:
-    """The exact ratio U_n / U_{n-1}, reduced to lowest terms.
+    """The exact ratio U_n / U_{n-1}, reduced to lowest terms: alpha^(n-1) read back.
 
     Undefined (DegenerateRatio) when U_{n-1} = 0, which happens for
     degenerate coefficient choices such as p = 0.
     """
-    u_prev, u_n = _ratio_pair(params, n, max_index)
-    return _reduced(params.p, params.q)(u_n, u_prev)
+    return _readback(params.p, params.q, _ratio_lift(params, n, max_index))
 
 
-def _ratio_pair(params: RecurrenceParams, n: int, max_index: int | None) -> tuple[int, int]:
-    """(U_{n-1}, U_n), refusing n < 2 and a vanishing U_{n-1}."""
+def _ratio_lift(params: RecurrenceParams, n: int, max_index: int | None) -> tuple[int, int]:
+    """alpha^(n-1), the lift of x_n, refusing n < 2 and a vanishing U_{n-1}."""
     if n < 2:
         raise ValueError(f"ratio index must be >= 2, got {format_rational(n)}")
     _check_index(n - 1, max_index)
-    u_prev, u_n = _pair(params.p, params.q, n - 1)
-    if u_prev == 0:
+    e = _ring_pow(params.p, params.q, (0, 1), n - 1)
+    if e[1] == 0:
         raise _vanished(n)
-    return u_prev, u_n
+    return e
 
 
 def _vanished(n: int) -> DegenerateRatio:
@@ -84,12 +81,11 @@ def general_ratio_y(
     coprime, so its common factor divides N(s) = a1^2 - p*a0*a1 + q*a0^2.
     """
     p, q = seq.params.p, seq.params.q
-    u_prev, u_n = _ratio_pair(seq.params, n, max_index)
     seed = (seq.a1 - p * seq.a0, seq.a0)
-    e0, e1 = _ring_mul(p, q, (u_n - p * u_prev, u_prev), seed)
-    if e1 == 0:
+    e = _ring_mul(p, q, _ratio_lift(seq.params, n, max_index), seed)
+    if (y := _readback(p, q, e, bound=_norm(p, q, seed) if gcd(p, q) == 1 else 0)) is None:
         raise DegenerateRatio(f"a_{n - 1} = 0, ratio a_{n}/a_{n - 1} undefined")
-    return _bounded_fraction(e0 + p * e1, e1, _norm(p, q, seed) if gcd(p, q) == 1 else 0)
+    return y
 
 
 def shift_ratio(
@@ -102,10 +98,9 @@ def shift_ratio(
     """
     p, q = params.p, params.q
     v = _lift(p, x_m1)
-    e0, e1 = _ring_mul(p, q, _lift(p, x_n), v)
-    if e1 == 0:
+    if (x := _readback(p, q, _ring_mul(p, q, _lift(p, x_n), v), bound=_norm(p, q, v))) is None:
         raise DegenerateRatio("shift denominator x_n + x_{m+1} - p vanished")
-    return _bounded_fraction(e0 + p * e1, e1, _norm(p, q, v))
+    return x
 
 
 def double_ratio(params: RecurrenceParams, x_n: Fraction) -> Fraction:
@@ -116,10 +111,10 @@ def double_ratio(params: RecurrenceParams, x_n: Fraction) -> Fraction:
     the product by t adds a factor of N(t) = q.
     """
     p, q = params.p, params.q
-    e0, e1 = _ring_mul(p, q, _ring_pow(p, q, _lift(p, x_n), 2), (0, 1))
-    if e1 == 0:
+    e = _ring_mul(p, q, _ring_pow(p, q, _lift(p, x_n), 2), (0, 1))
+    if (x := _readback(p, q, e, bound=q * (p * p - 4 * q))) is None:
         raise DegenerateRatio("doubling denominator q - x_n^2 vanished")
-    return _bounded_fraction(e0 + p * e1, e1, q * (p * p - 4 * q))
+    return x
 
 
 def fibonacci_index_accel(
@@ -134,10 +129,10 @@ def fibonacci_index_accel(
     """
     p, q = params.p, params.q
     v = _lift(p, x_b)
-    e0, e1 = _ring_mul(p, q, _ring_mul(p, q, _lift(p, x_a), v), (0, 1))
-    if e1 == 0:
+    e = _ring_mul(p, q, _ring_mul(p, q, _lift(p, x_a), v), (0, 1))
+    if (x := _readback(p, q, e, bound=q * _norm(p, q, v))) is None:
         raise DegenerateRatio("Fibonacci-step denominator q - x_a*x_b vanished")
-    return _bounded_fraction(e0 + p * e1, e1, q * _norm(p, q, v))
+    return x
 
 
 class IndexSequenceParams(_Value):
@@ -181,9 +176,9 @@ def accelerate_general(
         alpha^{g_n} = (alpha^{g_{n-1}})^s * (alpha^{g_{n-2}})^{-t}
 
     when that is a product of nonnegative powers (t <= 0 <= s); otherwise
-    alpha^{g_n} is evaluated directly at g_n.  The ratio is
-    x_{g_n} = U_{g_n} / U_{g_n - 1}, with U_{g_n - 1} = -T_{g_n} / q;
-    DegenerateRatio is raised exactly when that vanishes, as in ratio_x.
+    alpha^{g_n} is evaluated directly at g_n.  x_g reads back from alpha^(g-1) =
+    alpha^g*beta/q = (U_g + p*T_g/q) - (T_g/q)*alpha, as in ratio_x, and
+    DegenerateRatio is raised exactly when U_{g-1} = -T_g/q vanishes.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
@@ -194,12 +189,12 @@ def accelerate_general(
         raise ValueError(
             f"initial indices must be >= 2, got ({format_rational(g.i)}, {format_rational(g.j)})"
         )
-    frac = _reduced(p, q)
     entries = []
     for idx, (t_idx, u_idx) in _power_chain(p, q, g.i, g.j, g.s, g.t, count, max_index):
-        if t_idx == 0:
+        u_prev = -t_idx // q
+        if (x := _readback(p, q, (u_idx - p * u_prev, u_prev))) is None:
             raise _vanished(idx)
-        entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), frac(u_idx, -t_idx // q)))
+        entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), x))
     return entries
 
 
@@ -230,8 +225,8 @@ def arithmetic_index_accel(
 
 
 def _fib_pair(m: int) -> tuple[int, int]:
-    """(F_{m-1}, F_m) for m >= 1, from one pair evaluation."""
-    return _pair(1, -1, m - 1)
+    """(F_{m-1}, F_m) for m >= 0: alpha^m = T_m + U_m*alpha for (1, -1), and T_m = F_{m-1}."""
+    return _ring_pow(1, -1, (0, 1), m)
 
 
 def verify_nested_fibonacci_identity(n: int, max_index: int | None = None) -> bool:
@@ -258,7 +253,7 @@ def verify_fkn_identity(k: int, n: int, max_index: int | None = None) -> bool:
         raise ValueError(f"identity defined for n >= 2, got {format_rational(n)}")
     _check_index(k * (n - 1), max_index)
     f1m, f1 = _fib_pair(k * (n - 1))
-    f2m, f2 = _fib_pair(k * (n - 2)) if n > 2 else (1, 0)  # (F_{-1}, F_0)
+    f2m, f2 = _fib_pair(k * (n - 2))  # (F_{-1}, F_0) = (1, 0) at n = 2
     sign = -1 if (k * (n - 2)) % 2 else 1
     rhs = sign * (-f1 * f1 * f2 + 2 * f1 * f1m * f2m + f1 * f1 * f2m - f2 * f1m * f1m)
     return fibonacci(k * n, max_index) == rhs

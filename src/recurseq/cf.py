@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _Value, _check_index, _pair, _power_chain, _reduced
+from .core import _Value, _check_index, _power_chain, _readback, _ring_pow
 from .errors import DegenerateConvergent, NonRealRoots
 from .formatting import _quoted, format_rational
 from .roots import _METHODS, _index_chain
@@ -186,7 +186,7 @@ class PeriodicQuadCF(_Value):
         if i < 0:
             raise ValueError(f"sigma index must be >= 0, got {format_rational(i)}")
         _check_index(i, max_index)
-        return _pair(self.b, -self.a * self.c, i)[0]
+        return _ring_pow(self.b, -self.a * self.c, (0, 1), i)[1]
 
 
 def quad_cf_convergent(
@@ -194,17 +194,17 @@ def quad_cf_convergent(
 ) -> Fraction:
     """C_n = sigma_{n+2} / (a * sigma_{n+1}).
 
-    When gcd(b, a*c) = 1 the result needs no gcd: consecutive sigma terms are
-    coprime, and sigma_m = b^(m-1) (mod a) is prime to a.
+    alpha^(n+1) for (b, -a*c), read back over a.  When gcd(b, a*c) = 1 this
+    needs no gcd: consecutive sigma terms are coprime, and sigma_m = b^(m-1) (mod a) is prime to a.
     """
     if n < 0:
         raise ValueError(f"convergent index must be >= 0, got {format_rational(n)}")
     _check_index(n + 1, max_index)
-    denom, numer = _pair(qcf.b, -qcf.a * qcf.c, n + 1)
-    if denom == 0:
+    p, q = qcf.b, -qcf.a * qcf.c
+    if (c := _readback(p, q, _ring_pow(p, q, (0, 1), n + 1), qcf.a)) is None:
         raise DegenerateConvergent(f"sigma_{n + 1} = 0, convergent C_{n} undefined")
     _check_index(n + 2, max_index)
-    return _reduced(qcf.b, -qcf.a * qcf.c)(numer, qcf.a * denom)
+    return c
 
 
 def method_subsequence(
@@ -222,8 +222,8 @@ def method_subsequence(
     The values are read off core's chain engine, which steps
     alpha^k = T_k + sigma_k*alpha in Z[t]/(t^2 - b*t - a*c) along the
     method's exponent chain from k = 1 (secant W(1, 2, 1, -1), power m
-    W(1, m, m, 0); see roots): each is C_{k-1} = sigma_{k+1} / (a*sigma_k)
-    with sigma_{k+1} = b*sigma_k + T_k, reduced as in quad_cf_convergent.
+    W(1, m, m, 0); see roots): each reads back as C_{k-1} =
+    sigma_{k+1} / (a*sigma_k), as in quad_cf_convergent.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
@@ -234,12 +234,11 @@ def method_subsequence(
         raise NonRealRoots(
             f"b^2 + 4ac = {format_rational(disc)} <= 0: the continued fraction has no real target"
         )
-    a, p, q = qcf.a, qcf.b, -qcf.a * qcf.c
-    frac = _reduced(p, q)
+    p, q = qcf.b, -qcf.a * qcf.c
     out = []
-    for k, (t, sigma) in _power_chain(p, q, *_index_chain(_METHODS[method][0]), count, max_index):
-        if sigma == 0:
+    for k, power in _power_chain(p, q, *_index_chain(_METHODS[method][0]), count, max_index):
+        if (c := _readback(p, q, power, qcf.a)) is None:
             raise DegenerateConvergent(f"sigma_{k} = 0, convergent C_{k - 1} undefined")
         _check_index(k + 1, max_index)
-        out.append((k - 1, frac(t + p * sigma, a * sigma)))
+        out.append((k - 1, c))
     return out

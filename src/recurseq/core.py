@@ -7,14 +7,13 @@ never an approximation.  The two basis sequences
     U = W(0, 1, p, q)   and   T = W(1, 0, p, q)
 
 span every sequence with the same coefficients: a_n = a1*U_n + a0*T_n.
-Everything is derived from the single pair (U_n, U_{n+1}), evaluated in
-O(log n) steps by the doubling rule U_{2k} = U_k(2U_{k+1} - pU_k),
-U_{2k+1} = U_{k+1}^2 - qU_k^2: T_n = U_{n+1} - pU_n, and the powers of the
-companion matrix M = [[0, 1], [-q, p]] are M^n = [[T_n, U_n], [-qU_n, U_{n+1}]].
-The same pair is alpha^n = T_n + U_n*alpha in Z[t]/(t^2 - p*t + q), alpha a
-root; _ring_mul and _ring_pow multiply and power such elements for the
-acceleration chains, the convergent subsequences, the ratio maps and the
-root steps.
+Everything is derived from one ring power, alpha^n = T_n + U_n*alpha in
+Z[t]/(t^2 - p*t + q) for alpha a root, in O(log n) squarings by _ring_pow:
+U_{n+1} = T_n + p*U_n, and the powers of the companion matrix
+M = [[0, 1], [-q, p]] are M^n = [[T_n, U_n], [T_{n+1}, U_{n+1}]].  _ring_mul
+and _ring_pow also serve the acceleration chains, the convergent
+subsequences, the ratio maps and the root steps; _readback turns an element
+into its reduced ratio.
 """
 
 from __future__ import annotations
@@ -111,29 +110,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _pair(p: int, q: int, n: int) -> tuple[int, int]:
-    """(U_n, U_{n+1}) for n >= 0.
-
-    Walks the bits of n below the leading one from (U_1, U_2) = (1, p),
-    doubling k -> 2k and stepping k -> k+1 where the bit is set: three
-    full-size products per bit.
-    """
-    if n == 0:
-        return 0, 1
-    u, v = 1, p
-    for bit in bin(n)[3:]:
-        u, v = u * (2 * v - p * u), v * v - q * u * u
-        if bit == "1":
-            u, v = v, p * v - q * u
-    return u, v
-
-
-def _basis_ut_raw(p: int, q: int, n: int) -> tuple[int, int]:
-    """(U_n, T_n) for n >= 0."""
-    u, v = _pair(p, q, n)
-    return u, v - p * u
-
-
 # Elements e0 + e1*t of Z[t]/(t^2 - p*t + q) are pairs (e0, e1).  For alpha a
 # root of t^2 - p*t + q, alpha^n = T_n + U_n*alpha; its conjugate
 # beta^n = (T_n + p*U_n) - U_n*alpha, and alpha^n * beta^n = q^n.
@@ -143,7 +119,7 @@ def _basis_ut_raw(p: int, q: int, n: int) -> tuple[int, int]:
 # z1*z2 and powers z^m.  The common factor of what is read back obeys one rule:
 # for w primitive, that of w*v divides N(v) = v0^2 + p*v0*v1 + q*v1^2 (as
 # w*v*conj(v) = N(v)*w), and that of w^m is made of primes of D = p^2 - 4q
-# (mod other primes the ring has no nilpotents).  _bounded_fraction uses it.
+# (mod other primes the ring has no nilpotents).  _readback uses it.
 
 
 def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -155,18 +131,23 @@ def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[i
 
 
 def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
-    """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply.
+    """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply; alpha^m is a = (0, 1).
 
     A squaring costs three full-size products: (e0 + e1*t)^2 =
-    (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.
+    (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.  The product by a is _ring_mul's,
+    or for a0 = 0 a1*(-q*e1 + (e0 + p*e1)*t): no full-size product for alpha.
     """
     if m == 0:
         return 1, 0
-    e0, e1 = a
+    a0, a1 = e0, e1 = a
     for bit in bin(m)[3:]:
         e0, e1 = e0 * e0 - q * (e1 * e1), e1 * (2 * e0 + p * e1)
         if bit == "1":
-            e0, e1 = _ring_mul(p, q, (e0, e1), a)
+            if a0:
+                m0, m1 = e0 * a0, e1 * a1
+                e0, e1 = m0 - q * m1, (e0 + e1) * (a0 + a1) - m0 + (p - 1) * m1
+            else:
+                e0, e1 = -q * a1 * e1, a1 * (e0 + p * e1)
     return e0, e1
 
 
@@ -176,11 +157,10 @@ def _power_chain(p: int, q: int, k0: int, k1: int, s: int, t: int, count: int, m
     Where t <= 0 <= s, a step takes the paper's split (alpha^{k_{n-1}})^s *
     (alpha^{k_{n-2}})^{-t}, a product of nonnegative powers; otherwise (it
     would need a power of the conjugate), and for the seeds, alpha^k is
-    -q*U_{k-1} + U_k*alpha from one _pair.  Every product thus multiplies
-    powers whose exponents sum to k_n, so none is larger than its entry and
-    the index cap bounds the cost.  Each index is held to the cap when
-    reached (s and t once a third entry is asked for), and a generated index
-    must be >= 2.
+    _ring_pow of alpha itself.  Every product thus multiplies powers whose
+    exponents sum to k_n, so none is larger than its entry and the index cap
+    bounds the cost.  Each index is held to the cap when reached (s and t
+    once a third entry is asked for), and a generated index must be >= 2.
     """
     seeds, split, power1 = (k0, k1), t <= 0 <= s, None
     for n in range(count):
@@ -199,8 +179,7 @@ def _power_chain(p: int, q: int, k0: int, k1: int, s: int, t: int, count: int, m
             if t:
                 power = _ring_mul(p, q, power, power0 if t == -1 else _ring_pow(p, q, power0, -t))
         else:
-            u_prev, u = _pair(p, q, k - 1)
-            power = -q * u_prev, u
+            power = _ring_pow(p, q, (0, 1), k)
         yield k, power
         k0, power0, k1, power1 = k1, power1, k, power
 
@@ -248,13 +227,20 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-def _reduced(p: int, q: int):
-    """Fraction constructor for ratios of U terms of (p, q).
+def _readback(p: int, q: int, e: tuple[int, int], a: int = 1, bound: int | None = None) -> Fraction | None:
+    """(e0 + p*e1)/(a*e1) in lowest terms, or None when e1 = 0.
 
-    When gcd(p, q) = 1, consecutive U terms are coprime and U_m = p^(m-1)
-    (mod q) is prime to q (E. Lucas, 1878), so those ratios need no gcd.
+    Every prime of the common factor must divide a*bound (0: one full gcd).
+    bound = None: e is a power of alpha and a's primes divide q.  Then, for
+    gcd(p, q) = 1, consecutive U terms are coprime and U_m = p^(m-1) (mod q)
+    is prime to q (E. Lucas, 1878), so no gcd runs; else one full gcd does.
     """
-    return _coprime_fraction if gcd(p, q) == 1 else Fraction
+    e0, e1 = e
+    if not e1:
+        return None
+    if bound is None and gcd(p, q) == 1:
+        return _coprime_fraction(e0 + p * e1, a * e1)
+    return _bounded_fraction(e0 + p * e1, a * e1, a * bound if bound else 0)
 
 
 def companion_power(
@@ -270,21 +256,19 @@ def companion_power(
 
     _check_index(n, max_index)
     p, q = params.p, params.q
-    if n >= 0:
-        u, v = _pair(p, q, n)
-        return Matrix2(v - p * u, u, -q * u, v)
-    if q == 0:
+    if n < 0 and q == 0:
         raise InverseUnavailable(
             "negative companion powers need q != 0 (the matrix is singular)"
         )
-    k = -n
-    u_prev, u_k = _pair(p, q, k - 1)
-    u_next = p * u_k - q * u_prev
-    frac = _reduced(p, q)
-    small = q ** (k - 1)
+    t, u = _ring_pow(p, q, (0, 1), abs(n))
+    if n >= 0:
+        return Matrix2(t, u, -q * u, t + p * u)
+    # M^{-k} = (1/q^k) [[U_{k+1}, -U_k], [q U_k, -q U_{k-1}]], with q*U_{k-1} = -T_k.
+    # For gcd(p, q) = 1 each U_k is prime to q, so the common factors are powers of q.
+    small, bound = q ** (-n - 1), q if gcd(p, q) == 1 else 0
     big = small * q
-    # M^{-k} = (1/q^k) [[U_{k+1}, -U_k], [q U_k, -q U_{k-1}]]
-    return Matrix2(frac(u_next, big), frac(-u_k, big), frac(u_k, small), frac(-u_prev, small))
+    return Matrix2(_bounded_fraction(t + p * u, big, bound), _bounded_fraction(-u, big, bound),
+                   _bounded_fraction(u, small, bound), _bounded_fraction(t // q, small, bound))
 
 
 def basis_ut(
@@ -298,7 +282,7 @@ def basis_ut(
     """
     if n >= 0:
         _check_index(n, max_index)
-        return _basis_ut_raw(params.p, params.q, n)
+        return _ring_pow(params.p, params.q, (0, 1), n)[::-1]  # (T_n, U_n) reversed
     m = companion_power(params, n, max_index)
     return m.e12, m.e11
 

@@ -12,8 +12,8 @@ t^2 - p*t + q, every method is the power map z -> z^m (m = 2 for Newton, 3
 for Halley, d+1 for Householder of order d; secant is z -> z1*z2), the
 classical Koenig/Householder conjugacy.  All four are therefore computed by
 one integer engine, _step, which lifts x = n/d to (n - p*d) + d*t in
-Z[t]/(t^2 - p*t + q) and takes the m-th power of the lift (secant: the
-product of two lifts) with core's ring operations.  Every step is exact.
+Z[t]/(t^2 - p*t + q), takes the m-th power of the lift (secant: the product
+of two lifts) and reads it back, with core's ring operations.  Every step is exact.
 Each method's m is declared once, in _METHODS; the steps, the convergent
 chains of cf.method_subsequence and the CLI's trace labels all read it.
 """
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import _Value, _bounded_fraction, _lift, _ring_mul, _ring_pow
-from .errors import DegenerateStep, NonRealRoots, NoProgress
+from .core import DEFAULT_INDEX_CAP, _Value, _lift, _readback, _ring_mul, _ring_pow
+from .errors import DegenerateStep, IndexCapExceeded, NonRealRoots, NoProgress
 from .formatting import _quoted, format_decimal, format_rational
 
 
@@ -108,12 +108,12 @@ def _step(p: int, q: int, a: int, ys, m: int | None, degenerate: str) -> Fractio
     """
     w = _lift(p, ys[-1], a)
     if m:
-        (e0, e1), bound = _ring_pow(p, q, w, m), p * p - 4 * q
+        e, bound = _ring_pow(p, q, w, m), p * p - 4 * q
     else:
-        (e0, e1), bound = _ring_mul(p, q, w, _lift(p, ys[-2], a)), 0
-    if e1 == 0:
+        e, bound = _ring_mul(p, q, w, _lift(p, ys[-2], a)), 0
+    if (y := _readback(p, q, e, a, bound)) is None:
         raise DegenerateStep(degenerate)
-    return _bounded_fraction(e0 + p * e1, a * e1, a * bound)
+    return y
 
 
 def secant_step(f: QuadraticABC, x_prev, x_prev2) -> Fraction:
@@ -250,6 +250,8 @@ def approximate_root_with_trace(
     """Like approximate_root, but also returns the full list of exact iterates."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {format_rational(digits)}")
+    if digits > DEFAULT_INDEX_CAP:  # a fixed bound, as for the CLI's --format decimal:N
+        raise IndexCapExceeded(f"digits must be <= {DEFAULT_INDEX_CAP}, got {format_rational(digits)}")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {format_rational(max_iterations)}")
     disc = f.discriminant()

@@ -22,6 +22,22 @@ def naive_ut(p, q, n):
     return naive_sequence(0, 1, p, q, n), naive_sequence(1, 0, p, q, n)
 
 
+def pair_doubling(p, q, n):
+    """(U_n, U_{n+1}) for n >= 0 by the doubling rule U_{2k} = U_k(2U_{k+1} - pU_k),
+    U_{2k+1} = U_{k+1}^2 - qU_k^2, walking the bits of n below the leading one
+    from (U_1, U_2) = (1, p).  This was the library's engine for single
+    evaluations; it is kept as an oracle that, unlike naive_ut, reaches large n.
+    """
+    if n == 0:
+        return 0, 1
+    u, v = 1, p
+    for bit in bin(n)[3:]:
+        u, v = u * (2 * v - p * u), v * v - q * u * u
+        if bit == "1":
+            u, v = v, p * v - q * u
+    return u, v
+
+
 def naive_fib(n):
     return naive_sequence(0, 1, 1, -1, max(n, 1))[n]
 

@@ -1,4 +1,4 @@
-"""Differential tests for the large-integer path: pair doubling, gcd-free
+"""Differential tests for the large-integer path: ring powers of alpha, gcd-free
 ratios and the decimal renderer, each against an independent reference."""
 
 import functools
@@ -33,7 +33,7 @@ from recurseq import (
     ratio_x,
     term,
 )
-from recurseq.core import _basis_ut_raw, _coprime_fraction, _pair, _reduced
+from recurseq.core import _coprime_fraction, _readback, _ring_pow
 from recurseq.formatting import _STR_BITS, _int_text
 from oracles import companion_tuple, mat_mul, naive_ut, sqrt_decimal
 
@@ -59,16 +59,14 @@ class TestPairDoubling:
     @example(p=-3, q=-7, n=300)
     def test_pair_matches_naive_iteration(self, p, q, n):
         us, ts = naive_ut(p, q, n + 1)
-        assert _pair(p, q, n) == (us[n], us[n + 1])
-        assert _basis_ut_raw(p, q, n) == (us[n], ts[n])
+        assert _ring_pow(p, q, (0, 1), n) == (ts[n], us[n])
         assert basis_ut(RecurrenceParams(p, q), n) == (us[n], ts[n])
 
     @given(p=rational_coeff, q=rational_coeff, n=st.integers(0, 60))
     @example(p=Fraction(1, 2), q=Fraction(0), n=17)
     def test_rational_coefficients(self, p, q, n):
         us, ts = naive_ut(p, q, n + 1)
-        assert _pair(p, q, n) == (us[n], us[n + 1])
-        assert _basis_ut_raw(p, q, n) == (us[n], ts[n])
+        assert _ring_pow(p, q, (0, 1), n) == (ts[n], us[n])
 
     @given(p=coeff, q=coeff, n=st.integers(0, 300))
     @example(p=0, q=0, n=0)
@@ -108,7 +106,13 @@ class TestCommonFactorCoefficients:
     @pytest.mark.parametrize("p, q", COMMON_FACTOR_PAIRS)
     def test_shortcut_does_not_fire(self, p, q):
         assert gcd(p, q) > 1
-        assert _reduced(p, q) is Fraction
+        us, _ = naive_ut(p, q, 60)
+        for n in range(1, 60):
+            x = _readback(p, q, _ring_pow(p, q, (0, 1), n))
+            if us[n] == 0:
+                assert x is None
+            else:
+                assert_reduced(x, Fraction(us[n + 1], us[n]))
 
     @pytest.mark.parametrize("p, q", COMMON_FACTOR_PAIRS + [(1, -1), (3, 2), (-5, 7)])
     def test_ratio_x_is_reduced(self, p, q):

@@ -201,6 +201,16 @@ class TestRoot:
     def test_non_real_exit_5(self, capsys):
         assert run(capsys, "root", "-a", "1", "-b", "1", "-c", "-1", "--method", "newton", "--digits", "5")[0] == 5
 
+    @pytest.mark.parametrize("digits", [10**7 + 1, 10**11, 10**19])
+    def test_huge_digits_exit_3_before_iterating(self, capsys, monkeypatch, digits):
+        def unreachable(*args):
+            raise AssertionError("the iteration started")
+
+        monkeypatch.setattr(roots, "_iterate", unreachable)
+        code, out, err = run(capsys, "root", "-a", "1", "-b", "1", "-c", "1", "--method", "newton",
+                             "--digits", str(digits))
+        assert (code, out, err) == (3, "", f"error: digits must be <= 10000000, got {digits}\n")
+
     def test_zero_leading_coefficient_exit_2(self, capsys):
         assert run(capsys, "root", "-a", "0", "-b", "1", "-c", "1", "--method", "newton", "--digits", "5")[0] == 2
 

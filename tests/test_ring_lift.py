@@ -1,5 +1,6 @@
-"""Property tests for the shared ratio engine: the bounded reduction in core,
-and the single-step maps that reach the same ring element by different routes.
+"""Property tests for the shared ratio engine: the one power routine and the
+one read-back in core, the bounded reduction under it, and the single-step
+maps that reach the same ring element by different routes.
 
 Every single-step map lifts its ratios into Z[t]/(t^2 - p*t + q), takes one
 product or power there and reads the result back.  Doubling x_n is the
@@ -11,7 +12,7 @@ step on a*t^2 - b*t - c is, after scaling by a, the shift map of
 from fractions import Fraction
 from math import gcd, prod
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurseq import (
@@ -24,7 +25,9 @@ from recurseq import (
     secant_step,
     shift_ratio,
 )
-from recurseq.core import _bounded_fraction
+from recurseq.core import _bounded_fraction, _readback, _ring_mul, _ring_pow
+from oracles import naive_ut, pair_doubling
+from test_bigint_paths import COMMON_FACTOR_PAIRS
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -81,6 +84,91 @@ class TestBoundedFraction:
     def test_unit_bound_on_coprime_pairs(self, num, den, bound):
         num, den = coprime(num, den)
         assert same_fraction(_bounded_fraction(num, den, bound), Fraction(num, den))
+
+
+# Coefficients with gcd(p, q) = 1, and the special cases: q = 0, p = 0, the
+# double roots of (2, 1) and (4, 4), and the complex roots of (2, 3).
+SPECIAL_PAIRS = [(3, 0), (1, 0), (-1, 0), (0, 0), (0, 5), (0, -1), (0, 1), (2, 1), (4, 4), (2, 3)]
+pairs = st.one_of(
+    st.tuples(coeff, coeff).filter(lambda pq: gcd(*pq) == 1),
+    st.sampled_from(COMMON_FACTOR_PAIRS + SPECIAL_PAIRS),
+)
+scales = st.sampled_from([1, 2, 3, -4, 6])
+
+
+class TestReadback:
+    """_readback(p, q, e, a, bound) is Fraction(e0 + p*e1, a*e1), or None when e1 = 0."""
+
+    @given(p=coeff, q=coeff, e0=big, e1=big, a=scales)
+    @example(p=1, q=-1, e0=5, e1=0, a=1)
+    @example(p=2, q=2, e0=-4, e1=6, a=-4)
+    @example(p=0, q=0, e0=0, e1=-3, a=6)
+    def test_bound_zero_on_any_element(self, p, q, e0, e1, a):
+        got = _readback(p, q, (e0, e1), a, 0)
+        if e1 == 0:
+            assert got is None
+        else:
+            assert same_fraction(got, Fraction(e0 + p * e1, a * e1))
+
+    @given(pq=pairs, n=st.integers(0, 300))
+    @example(pq=(2, 2), n=64)
+    @example(pq=(4, 4), n=300)
+    @example(pq=(0, 5), n=2)  # U_2 = 0
+    @example(pq=(2, 3), n=300)
+    @example(pq=(1, -1), n=0)  # alpha^0 = 1
+    def test_power_of_alpha(self, pq, n):
+        """alpha^n = T_n + U_n*alpha reads back as x_{n+1} = U_{n+1}/U_n."""
+        p, q = pq
+        us, _ = naive_ut(p, q, n + 1)
+        got = _readback(p, q, _ring_pow(p, q, (0, 1), n))
+        if us[n] == 0:
+            assert got is None
+        else:
+            assert same_fraction(got, Fraction(us[n + 1], us[n]))
+
+    @given(a=scales, b=coeff, c=coeff, n=st.integers(0, 300))
+    @example(a=6, b=3, c=1, n=200)  # gcd(b, a*c) = 3
+    @example(a=-4, b=1, c=0, n=50)  # q = 0
+    @example(a=2, b=0, c=1, n=2)  # b = 0: sigma_2 = 0
+    @example(a=3, b=5, c=2, n=300)
+    def test_power_of_alpha_over_a(self, a, b, c, n):
+        """Over a, with every prime of a dividing q, as for [b/a, b/c]: (p, q) = (b, -a*c)."""
+        p, q = b, -a * c
+        us, _ = naive_ut(p, q, n + 1)
+        got = _readback(p, q, _ring_pow(p, q, (0, 1), n), a)
+        if us[n] == 0:
+            assert got is None
+        else:
+            assert same_fraction(got, Fraction(us[n + 1], a * us[n]))
+
+
+class TestRingPow:
+    @given(
+        p=coeff,
+        q=coeff,
+        a=st.tuples(st.integers(-50, 50), st.integers(-50, 50)) | st.tuples(st.just(0), st.integers(-50, 50)),
+        m=st.integers(0, 40),
+    )
+    @example(p=3, q=0, a=(0, 9), m=7)  # a0 = 0 and a1 != 1: the product by a1*t
+    @example(p=-2, q=5, a=(4, 0), m=5)
+    def test_matches_repeated_products(self, p, q, a, m):
+        expected = (1, 0)
+        for _ in range(m):
+            expected = _ring_mul(p, q, expected, a)
+        assert _ring_pow(p, q, a, m) == expected
+
+    @settings(max_examples=25)
+    @given(p=st.integers(-3, 3), q=st.integers(-3, 3), n=st.integers(0, 2 * 10**5))
+    @example(p=1, q=-1, n=2 * 10**5)
+    @example(p=2, q=1, n=2 * 10**5)  # double root: U_n = n
+    @example(p=2, q=3, n=2 * 10**5 - 1)  # complex roots
+    @example(p=0, q=3, n=99_999)
+    @example(p=3, q=0, n=131_072)
+    def test_alpha_power_matches_pair_doubling(self, p, q, n):
+        """alpha^n = (T_n, U_n), against the former pair doubling, which reaches
+        indices where naive iteration is too slow."""
+        u, u_next = pair_doubling(p, q, n)
+        assert _ring_pow(p, q, (0, 1), n) == (u_next - p * u, u)
 
 
 class TestSameElementByTwoRoutes:

@@ -6,8 +6,10 @@ import pytest
 import sympy
 
 from recurseq import (
+    DEFAULT_INDEX_CAP,
     DegenerateRatio,
     DegenerateStep,
+    IndexCapExceeded,
     NonRealRoots,
     NoProgress,
     QuadraticABC,
@@ -23,6 +25,7 @@ from recurseq import (
     newton_index,
     newton_step,
     ratio_x,
+    roots,
     secant_index_sequence,
     secant_step,
 )
@@ -205,6 +208,21 @@ class TestApproximateRoot:
         with pytest.raises(ValueError) as info:
             approximate_root(GOLDEN, None, 5)
         assert str(info.value) == "unknown method None"
+
+    @pytest.mark.parametrize("digits", [10**7 + 1, 10**19])
+    def test_digits_past_the_fixed_cap_refused_before_iterating(self, monkeypatch, digits):
+        def unreachable(*args):
+            raise AssertionError("the iteration started")
+
+        monkeypatch.setattr(roots, "_iterate", unreachable)
+        assert DEFAULT_INDEX_CAP == 10**7
+        with pytest.raises(IndexCapExceeded) as info:
+            approximate_root_with_trace(GOLDEN, "newton", digits)
+        assert str(info.value) == f"digits must be <= 10000000, got {digits}"
+        with pytest.raises(IndexCapExceeded):
+            approximate_root(GOLDEN, "halley", digits, max_iterations=5)
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            approximate_root(GOLDEN, "newton", -digits)
 
     def test_rejects_negative_max_iterations(self):
         with pytest.raises(ValueError, match="max_iterations"):

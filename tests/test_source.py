@@ -4,7 +4,9 @@ No linter ships with the project, so two rules guard deletions: an import
 left behind, or a private helper whose last caller is gone.  Two more keep
 start-up cheap: the package and the CLI import no module at load time that a
 call may not need, and the modules every call loads import neither
-dataclasses nor typing.
+dataclasses nor typing.  Two keep one engine: core._ring_pow is the only loop
+over the bits of an exponent, and only core builds a Fraction without the
+gcd Fraction itself would run.
 """
 
 import ast
@@ -82,6 +84,20 @@ def load_time_package_imports(tree):
     return names
 
 
+def exponent_loops(tree, module):
+    """module.function for each function holding a for loop over bin(...)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for loop in ast.walk(node):
+                if isinstance(loop, ast.For) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "bin"
+                    for call in ast.walk(loop.iter)
+                ):
+                    found.add(f"{module}.{node.name}")
+    return found
+
+
 def test_sources_found():
     assert {path.name for path in SOURCES} >= {"__init__.py", "core.py", "cli.py"}
 
@@ -132,3 +148,21 @@ def test_every_call_loads_no_dataclasses_or_typing():
                 continue
             imports += [f"{name}.py:{node.lineno} {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")]
     assert imports == []
+
+
+def test_one_exponent_loop():
+    """Every power in the package is core._ring_pow's square-and-multiply."""
+    loops = set().union(*(exponent_loops(parse(path), path.stem) for path in SOURCES))
+    assert loops == {"core._ring_pow"}
+
+
+def test_fractions_past_the_gcd_are_built_in_core_only():
+    """Other modules read ratios back through core._readback, which holds the reduction rules."""
+    names = {"_bounded_fraction", "_coprime_fraction"}
+    outside = [
+        f"{path.name} {name}"
+        for path in SOURCES
+        if path.stem != "core"
+        for name in sorted(names & (referenced_names(parse(path)) | {n for n, _ in imported_names(parse(path))}))
+    ]
+    assert outside == []
