@@ -207,6 +207,23 @@ def quad_cf_convergent(
     return c
 
 
+def _threeway_checks(qcf: PeriodicQuadCF, n_max: int, max_index: int | None = None):
+    """(label, ok, detail) for n = 0..n_max: the direct and integer recursions on
+    [b/a, b/c] and quad_cf_convergent agree on C_n.  Index n_max + 2, the largest
+    read, is held to the cap first; a detail is built only for a failed check."""
+    _check_index(n_max + 2, max_index)
+    expanded = qcf.to_rational_cf()
+    direct = convergents_direct(expanded, n_max + 1)
+    integer = convergents_integer(expanded, n_max + 1)
+    for n in range(n_max + 1):
+        sigma_value = quad_cf_convergent(qcf, n, max_index)
+        ok = direct[n].value == integer[n].value == sigma_value
+        yield f"cf-threeway n={n}", ok, None if ok else (
+            f"direct {format_rational(direct[n].value)}, integer {format_rational(integer[n].value)}, "
+            f"sigma {format_rational(sigma_value)}"
+        )
+
+
 def method_subsequence(
     qcf: PeriodicQuadCF,
     method: str,

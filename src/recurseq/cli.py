@@ -1,5 +1,5 @@
-"""Command-line interface: sequence terms, ratio accelerations, root approximation,
-identity verification, and continued-fraction convergents, all in exact arithmetic.
+"""Command-line interface: terms, ratio accelerations, roots, identity checks and
+convergents, in exact arithmetic.  Handlers parse, check flags and print only.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage, 3 resource cap,
 4 degenerate computation, 5 non-real roots.
@@ -176,6 +176,8 @@ def cmd_root(args, max_index) -> int:
 def cmd_cf(args, max_index) -> int:
     from . import cf
     cfobj = cf.RationalCF.parse(args.cf)
+    if args.count >= 1:  # a count below 1 is refused by the convergent routes
+        core._check_index(args.count - 1, max_index)
     make = cf.convergents_integer if args.integer else cf.convergents_direct
     method = "cf-integer" if args.integer else "cf-direct"
     for record in make(cfobj, args.count):
@@ -209,45 +211,19 @@ def _verify_cubic(args, max_index):
 
 
 def _verify_method_maps(args, max_index):
-    from . import accel, roots
+    from . import roots
     _require(args.k_max >= 2 and args.d_max >= 0, "--k-max must be >= 2 and --d-max >= 0")
-    params = RecurrenceParams(args.p, args.q)
-    abc = roots.QuadraticABC(1, args.p, -args.q)
-    pq = roots.QuadraticPQ(args.p, args.q)
-    for k in range(2, args.k_max + 1):
-        x_k = accel.ratio_x(params, k, max_index)
-        checks = [("newton", roots.newton_step(abc, x_k), roots.newton_index(k)),
-                  ("halley", roots.halley_step(pq, x_k), roots.halley_index(k))]
-        checks += [
-            (f"householder(d={d})", roots.householder_step(pq, x_k, d), roots.householder_index(k, d))
-            for d in range(1, args.d_max + 1)
-        ]
-        for name, stepped, target in checks:
-            expected = accel.ratio_x(params, target, max_index)
-            ok = stepped == expected
-            yield f"method-maps {name} k={k}", ok, None if ok else (
-                f"step gave {format_rational(stepped)}, ratio x_{target} = {format_rational(expected)}"
-            )
+    return roots._method_map_checks(RecurrenceParams(args.p, args.q), args.k_max, args.d_max, max_index)
 
 
 def _verify_cf_threeway(args, max_index):
     from . import cf
     _require(args.n_max >= 0, "--n-max must be >= 0")
-    qcf = cf.PeriodicQuadCF(args.a, args.b, args.c)
-    expanded = qcf.to_rational_cf()
-    direct = cf.convergents_direct(expanded, args.n_max + 1)
-    integer = cf.convergents_integer(expanded, args.n_max + 1)
-    for n in range(args.n_max + 1):
-        sigma_value = cf.quad_cf_convergent(qcf, n, max_index)
-        ok = direct[n].value == integer[n].value == sigma_value
-        yield f"cf-threeway n={n}", ok, None if ok else (
-            f"direct {format_rational(direct[n].value)}, integer {format_rational(integer[n].value)}, "
-            f"sigma {format_rational(sigma_value)}"
-        )
+    return cf._threeway_checks(cf.PeriodicQuadCF(args.a, args.b, args.c), args.n_max, max_index)
 
 
-# Each verifier yields (label, ok, detail).  A detail that shows values is built only for
-# a failed check, through format_rational: str() refuses ints past the interpreter's digit guard.
+# Each verifier gives (label, ok, detail) triples.  A detail that shows values is built only
+# for a failed check, through format_rational: str() refuses ints past the digit guard.
 _VERIFIERS = {
     "nested-fib": _verify_nested_fib,
     "fkn": _verify_fkn,

@@ -166,6 +166,28 @@ def householder_index(k: int, d: int) -> int:
     return (d + 1) * k - d
 
 
+def _method_map_checks(params, k_max: int, d_max: int, max_index: int | None = None):
+    """(label, ok, detail) for k = 2..k_max: the Newton, Halley and order 1..d_max
+    Householder steps for t^2 - p*t + q take x_k to the ratio at their index map.
+    A detail is built only for a failed check, through format_rational."""
+    from .accel import ratio_x  # here, so that root leaves accel unloaded
+    abc, pq = QuadraticABC(1, params.p, -params.q), QuadraticPQ(params.p, params.q)
+    for k in range(2, k_max + 1):
+        x_k = ratio_x(params, k, max_index)
+        checks = [("newton", newton_step(abc, x_k), newton_index(k)),
+                  ("halley", halley_step(pq, x_k), halley_index(k))]
+        checks += [
+            (f"householder(d={d})", householder_step(pq, x_k, d), householder_index(k, d))
+            for d in range(1, d_max + 1)
+        ]
+        for name, stepped, target in checks:
+            expected = ratio_x(params, target, max_index)
+            ok = stepped == expected
+            yield f"method-maps {name} k={k}", ok, None if ok else (
+                f"step gave {format_rational(stepped)}, ratio x_{target} = {format_rational(expected)}"
+            )
+
+
 def secant_index_sequence(count: int) -> list[int]:
     """Ratio indices visited by the secant chain: g_0 = 2, g_1 = 3, g_n = g_{n-1} + g_{n-2} - 1.
 

@@ -1,4 +1,5 @@
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -23,3 +24,21 @@ def default_str_guard():
         yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def coprime_audit():
+    """Every read-back that skips the gcd is checked: core._coprime_fraction must
+    only see coprime pairs (num = 0 aside).  _bounded_fraction and _readback find
+    it by global lookup, so the wrapper sees every skip; the original is restored."""
+    from recurseq import core
+
+    original = core._coprime_fraction
+
+    def audited(num, den):
+        assert num == 0 or gcd(num, den) == 1, "a read-back skipped the gcd of a pair with a common factor"
+        return original(num, den)
+
+    core._coprime_fraction = audited
+    yield
+    core._coprime_fraction = original

@@ -272,6 +272,28 @@ class TestCf:
     def test_malformed_cf_exit_2(self, capsys):
         assert run(capsys, "cf", "1/2, zebra", "--count", "2")[0] == 2
 
+    def test_count_held_to_max_index(self, capsys):
+        cap = ("--max-index", "3")
+        assert run(capsys, "cf", "1/1 | period=1", "--count", "5", *cap) == (
+            3, "", "error: index 4 exceeds the evaluation cap 3\n")
+        assert run(capsys, "cf", "1/1 | period=1", "--count", "4", *cap) == (0, "0 1\n1 2\n2 3/2\n3 5/3\n", "")
+        assert run(capsys, "cf", "1/1 | period=1", "--count", "0", *cap) == (2, "", "error: count must be >= 1, got 0\n")
+
+    def test_count_held_to_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("RECURSEQ_MAX_INDEX", "3")
+        assert run(capsys, "cf", "1/1 | period=1", "--count", "5", "--integer") == (
+            3, "", "error: index 4 exceeds the evaluation cap 3\n")
+
+    @pytest.mark.parametrize("route", [[], ["--integer"]])
+    def test_huge_count_exit_3_before_any_convergent(self, capsys, monkeypatch, route):
+        def unreachable(*args):
+            raise AssertionError("a convergent was built")
+
+        monkeypatch.setattr(cf, "convergents_direct", unreachable)
+        monkeypatch.setattr(cf, "convergents_integer", unreachable)
+        assert run(capsys, "cf", "1/1 | period=1", "--count", str(10**11), *route) == (
+            3, "", "error: index 99999999999 exceeds the evaluation cap 10000000\n")
+
 
 class TestVerify:
     def test_nested_fib(self, capsys):
@@ -303,6 +325,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL nested-fib n=7" in out
         assert out.splitlines()[-1] == "FAIL 7/8"
+
+    def test_cf_threeway_over_cap_exit_3_before_any_work(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a convergent was built")
+
+        monkeypatch.setattr(cf, "convergents_direct", unreachable)
+        code, out, err = run(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1", "-c", "1", "--n-max", str(10**11))
+        assert (code, out, err) == (3, "", "error: index 100000000002 exceeds the evaluation cap 10000000\n")
+
+    def test_cf_threeway_cap_comes_before_a_degenerate_convergent(self, capsys):
+        # [1/1, 1/-1] has q_2 = 0; the cap on index n_max + 2 is checked first.
+        code, out, err = run(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1", "-c", "-1", "--n-max", "5",
+                             "--max-index", "6")
+        assert (code, out, err) == (3, "", "error: index 7 exceeds the evaluation cap 6\n")
+        assert run(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1", "-c", "-1", "--n-max", "5")[0] == 4
 
 
 def run_guarded(capsys, *argv):

@@ -4,9 +4,10 @@ No linter ships with the project, so two rules guard deletions: an import
 left behind, or a private helper whose last caller is gone.  Two more keep
 start-up cheap: the package and the CLI import no module at load time that a
 call may not need, and the modules every call loads import neither
-dataclasses nor typing.  Two keep one engine: core._ring_pow is the only loop
-over the bits of an exponent, and only core builds a Fraction without the
-gcd Fraction itself would run.
+dataclasses nor typing.  One keeps the CLI to parsing and printing: it calls no
+step, index map or convergent route itself.  Two keep one engine:
+core._ring_pow is the only loop over the bits of an exponent, and only core
+builds a Fraction without the gcd Fraction itself would run.
 """
 
 import ast
@@ -132,6 +133,14 @@ def test_cli_imports_only_what_every_subcommand_needs():
     """accel, roots and cf are imported inside the handlers that call them."""
     cli = Path(recurseq.__file__).with_name("cli.py")
     assert load_time_package_imports(parse(cli)) <= {"core", "errors", "formatting"}
+
+
+def test_cli_computes_no_library_result():
+    """verify's method-map and three-way checks live beside the maps they check."""
+    cli = Path(recurseq.__file__).with_name("cli.py")
+    library = {"newton_step", "halley_step", "householder_step", "secant_step", "newton_index", "halley_index",
+               "householder_index", "quad_cf_convergent", "to_rational_cf"}
+    assert referenced_names(parse(cli)) & library == set()
 
 
 def test_every_call_loads_no_dataclasses_or_typing():
