@@ -136,30 +136,26 @@ def convergents_direct(cf: RationalCF, count: int) -> list[ConvergentRecord]:
 def convergents_integer(cf: RationalCF, count: int) -> list[ConvergentRecord]:
     """First `count` convergents via the integer (s, t, u) normalization.
 
-    s_n = a_n s_{n-1} + b_n b_{n-1} s_{n-2} (t likewise), u_n = b_n u_{n-1},
-    and C_n = s_n / (b_0 t_n); agrees entrywise with convergents_direct.
+    s_n = a_n s_{n-1} + b_n b_{n-1} s_{n-2} (t likewise) for n >= 1, from
+    s_{-1} = 1, t_{-1} = 0, s_0 = a_0 and t_0 = 1; u_n = b_n u_{n-1}, u_0 = 1;
+    and C_n = s_n / (b_0 t_n).  It agrees entrywise with convergents_direct.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {format_rational(count)}")
-    b0 = cf.quotient(0)[1]
     records = []
-    s_prev2 = s_prev = t_prev2 = t_prev = None
+    s_prev, t_prev = 1, 0
     for n in range(count):
         a, b = cf.quotient(n)
         if n == 0:
-            s, t, u = a, 1, 1
-        elif n == 1:
-            s = records[0].s * a + b0 * b
-            t, u = a, b
+            s, t, u, b0 = a, 1, 1, b
         else:
-            b_prev = cf.quotient(n - 1)[1]
             s = a * s_prev + b * b_prev * s_prev2
             t = a * t_prev + b * b_prev * t_prev2
-            u = b * records[-1].u
+            u = b * u
         if t == 0:
             raise DegenerateConvergent(f"integer-form denominator t_{n} = 0")
         records.append(ConvergentRecord(n, Fraction(s, b0 * t), s=s, t=t, u=u))
-        s_prev2, s_prev, t_prev2, t_prev = s_prev, s, t_prev, t
+        s_prev2, s_prev, t_prev2, t_prev, b_prev = s_prev, s, t_prev, t, b
     return records
 
 

@@ -196,6 +196,7 @@ def _verify_nested_fib(args, max_index):
 def _verify_fkn(args, max_index):
     from . import accel
     _require(args.k_max >= 1 and args.n_max >= 2, "--k-max must be >= 1 and --n-max >= 2")
+    core._check_index(args.k_max * args.n_max, max_index)  # F_{kn} at the largest k and n
     for k in range(1, args.k_max + 1):
         for n in range(2, args.n_max + 1):
             ok = accel.verify_fkn_identity(k, n, max_index)

@@ -134,8 +134,8 @@ def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
     """a^m in Z[t]/(t^2 - p*t + q) for m >= 0, by square-and-multiply; alpha^m is a = (0, 1).
 
     A squaring costs three full-size products: (e0 + e1*t)^2 =
-    (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.  The product by a is _ring_mul's,
-    or for a0 = 0 a1*(-q*e1 + (e0 + p*e1)*t): no full-size product for alpha.
+    (e0^2 - q*e1^2) + e1*(2*e0 + p*e1)*t.  A product by a base other than alpha
+    calls _ring_mul; by alpha (a0 = 0) it is a1*(-q*e1 + (e0 + p*e1)*t), no full-size product.
     """
     if m == 0:
         return 1, 0
@@ -144,8 +144,7 @@ def _ring_pow(p: int, q: int, a: tuple[int, int], m: int) -> tuple[int, int]:
         e0, e1 = e0 * e0 - q * (e1 * e1), e1 * (2 * e0 + p * e1)
         if bit == "1":
             if a0:
-                m0, m1 = e0 * a0, e1 * a1
-                e0, e1 = m0 - q * m1, (e0 + e1) * (a0 + a1) - m0 + (p - 1) * m1
+                e0, e1 = _ring_mul(p, q, (e0, e1), a)
             else:
                 e0, e1 = -q * a1 * e1, a1 * (e0 + p * e1)
     return e0, e1

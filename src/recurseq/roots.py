@@ -14,15 +14,17 @@ classical Koenig/Householder conjugacy.  All four are therefore computed by
 one integer engine, _step, which lifts x = n/d to (n - p*d) + d*t in
 Z[t]/(t^2 - p*t + q), takes the m-th power of the lift (secant: the product
 of two lifts) and reads it back, with core's ring operations.  Every step is exact.
-Each method's m is declared once, in _METHODS; the steps, the convergent
-chains of cf.method_subsequence and the CLI's trace labels all read it.
+Each method's m is declared once, in _METHODS; the steps and _iterate (both
+through _step), the convergent chains of cf.method_subsequence and the CLI's
+trace labels all read it.  Newton and Halley are Householder of orders 1 and
+2, so newton_index and halley_index are householder_index at those orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DEFAULT_INDEX_CAP, _Value, _lift, _readback, _ring_mul, _ring_pow
+from .core import DEFAULT_INDEX_CAP, _Value, _check_index, _lift, _readback, _ring_mul, _ring_pow
 from .errors import DegenerateStep, IndexCapExceeded, NonRealRoots, NoProgress
 from .formatting import _quoted, format_decimal, format_rational
 
@@ -144,17 +146,13 @@ def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
 
 
 def newton_index(k: int) -> int:
-    """Ratio index reached by one Newton step from x_k: 2k - 1."""
-    if k < 2:
-        raise ValueError(f"ratio index must be >= 2, got {format_rational(k)}")
-    return 2 * k - 1
+    """Ratio index reached by one Newton step from x_k: 2k - 1, Householder's of order 1."""
+    return householder_index(k, 1)
 
 
 def halley_index(k: int) -> int:
-    """Ratio index reached by one Halley step from x_k: 3k - 2."""
-    if k < 2:
-        raise ValueError(f"ratio index must be >= 2, got {format_rational(k)}")
-    return 3 * k - 2
+    """Ratio index reached by one Halley step from x_k: 3k - 2, Householder's of order 2."""
+    return householder_index(k, 2)
 
 
 def householder_index(k: int, d: int) -> int:
@@ -169,7 +167,9 @@ def householder_index(k: int, d: int) -> int:
 def _method_map_checks(params, k_max: int, d_max: int, max_index: int | None = None):
     """(label, ok, detail) for k = 2..k_max: the Newton, Halley and order 1..d_max
     Householder steps for t^2 - p*t + q take x_k to the ratio at their index map.
-    A detail is built only for a failed check, through format_rational."""
+    The largest ratio read, x at householder_index(k_max, max(d_max, 2)), is held
+    to the cap first; a detail is built only for a failed check, through format_rational."""
+    _check_index(householder_index(k_max, max(d_max, 2)) - 1, max_index)
     from .accel import ratio_x  # here, so that root leaves accel unloaded
     abc, pq = QuadraticABC(1, params.p, -params.q), QuadraticPQ(params.p, params.q)
     for k in range(2, k_max + 1):
@@ -213,12 +213,6 @@ def _canonical_seeds(f: QuadraticABC, method: str) -> list[Fraction]:
     return [c0]
 
 
-def _make_stepper(f: QuadraticABC, method: str, order: int | None):
-    m, degenerate = _method(method, order)
-    p, q, a = f.b, -f.a * f.c, f.a
-    return lambda ys: _step(p, q, a, ys, m, degenerate)
-
-
 def _convergent_indices(f: QuadraticABC, method: str, order: int | None, iterates) -> list[int] | None:
     """The index k_n - 1 of the convergent of [b/a, b/c] each iterate equals,
     or None when they are none: b = 0 (no such fraction) or a shifted seed."""
@@ -234,12 +228,13 @@ def _convergent_indices(f: QuadraticABC, method: str, order: int | None, iterate
 
 def _iterate(f, method, digits, order, max_iterations):
     scale = 10 ** (digits + 2)
-    step = _make_stepper(f, method, order)
+    m, degenerate = _method(method, order)
+    p, q, a = f.b, -f.a * f.c, f.a
     failure = None
     for shift in range(_SEED_SHIFTS):
         iterates = [y + shift for y in _canonical_seeds(f, method)]
         try:
-            nxt = step(iterates)
+            nxt = _step(p, q, a, iterates, m, degenerate)
         except DegenerateStep as exc:
             failure = exc
             continue
@@ -255,7 +250,7 @@ def _iterate(f, method, digits, order, max_iterations):
             n0, d0 = iterates[-2].as_integer_ratio()
             if abs(n1 * d0 - n0 * d1) * scale <= d0 * d1:
                 return iterates
-            iterates.append(step(iterates))
+            iterates.append(_step(p, q, a, iterates, m, degenerate))
         raise NoProgress(
             f"no {digits}-digit agreement within {max_iterations} iterations"
         )

@@ -341,6 +341,38 @@ class TestVerify:
         assert (code, out, err) == (3, "", "error: index 7 exceeds the evaluation cap 6\n")
         assert run(capsys, "verify", "cf-threeway", "-a", "1", "-b", "1", "-c", "-1", "--n-max", "5")[0] == 4
 
+    def test_method_maps_over_cap_exit_3_before_any_step(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a step was built")
+
+        for name in ("newton_step", "halley_step", "householder_step"):
+            monkeypatch.setattr(roots, name, unreachable)
+        # The largest ratio read is x at householder_index(k_max, max(d_max, 2)); ratio_x holds index - 1.
+        for flags, index in ((("--k-max", "2", "--d-max", "20000000"), 20000001),
+                             (("--k-max", "100000000", "--d-max", "0"), 299999997)):
+            code, out, err = run(capsys, "verify", "method-maps", *flags)
+            assert (code, out, err) == (3, "", f"error: index {index} exceeds the evaluation cap 10000000\n")
+        code, out, err = run(capsys, "verify", "method-maps", "--k-max", "3", "--d-max", "4", "--max-index", "9")
+        assert (code, out, err) == (3, "", "error: index 10 exceeds the evaluation cap 9\n")
+
+    def test_method_maps_cap_comes_before_a_degenerate_step(self, capsys):
+        # p = 0: the Newton step from x_2 = 0 sits at the critical point; index 6 is checked first.
+        argv = ("verify", "method-maps", "-p", "0", "-q", "1", "--k-max", "3", "--d-max", "1")
+        assert run(capsys, *argv, "--max-index", "5") == (3, "", "error: index 6 exceeds the evaluation cap 5\n")
+        assert run(capsys, *argv, "--max-index", "6")[0] == 4
+
+    def test_fkn_over_cap_exit_3_before_any_identity(self, capsys, monkeypatch):
+        from recurseq import accel
+
+        def unreachable(*args):
+            raise AssertionError("an identity was checked")
+
+        monkeypatch.setattr(accel, "verify_fkn_identity", unreachable)
+        code, out, err = run(capsys, "verify", "fkn", "--k-max", "100000000", "--n-max", "2")
+        assert (code, out, err) == (3, "", "error: index 200000000 exceeds the evaluation cap 10000000\n")
+        code, out, err = run(capsys, "verify", "fkn", "--k-max", "3", "--n-max", "4", "--max-index", "11")
+        assert (code, out, err) == (3, "", "error: index 12 exceeds the evaluation cap 11\n")
+
 
 def run_guarded(capsys, *argv):
     """run, then check that main left the int-to-str digit guard where the test set it."""
