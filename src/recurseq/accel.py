@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
 
 from .core import (
     LinRecSequence,
@@ -33,6 +32,7 @@ from .core import (
     _check_index,
     _lift,
     _norm,
+    _power_bound,
     _power_chain,
     _readback,
     _ring_mul,
@@ -51,7 +51,7 @@ def ratio_x(
     Undefined (DegenerateRatio) when U_{n-1} = 0, which happens for
     degenerate coefficient choices such as p = 0.
     """
-    return _readback(params.p, params.q, _ratio_lift(params, n, max_index))
+    return _readback(params.p, _ratio_lift(params, n, max_index), 1, _power_bound(params.p, params.q))
 
 
 def _ratio_lift(params: RecurrenceParams, n: int, max_index: int | None) -> tuple[int, int]:
@@ -77,13 +77,13 @@ def general_ratio_y(
 
     Equal to the closed form (a1*x_n - a0*q) / (a0*x_n + a1 - a0*p) in the
     ratio x_n of the U basis: the lift of x_n times the seed s = (a1 - p*a0) + a0*t
-    reads back as a_n / a_{n-1}.  When gcd(p, q) = 1 consecutive U terms are
-    coprime, so its common factor divides N(s) = a1^2 - p*a0*a1 + q*a0^2.
+    reads back as a_n / a_{n-1}, its common factor bounded by N(s) = a1^2 -
+    p*a0*a1 + q*a0^2 times the lift's (core._power_bound).
     """
     p, q = seq.params.p, seq.params.q
     seed = (seq.a1 - p * seq.a0, seq.a0)
     e = _ring_mul(p, q, _ratio_lift(seq.params, n, max_index), seed)
-    if (y := _readback(p, q, e, bound=_norm(p, q, seed) if gcd(p, q) == 1 else 0)) is None:
+    if (y := _readback(p, e, bound=_norm(p, q, seed) * _power_bound(p, q))) is None:
         raise DegenerateRatio(f"a_{n - 1} = 0, ratio a_{n}/a_{n - 1} undefined")
     return y
 
@@ -98,7 +98,7 @@ def shift_ratio(
     """
     p, q = params.p, params.q
     v = _lift(p, x_m1)
-    if (x := _readback(p, q, _ring_mul(p, q, _lift(p, x_n), v), bound=_norm(p, q, v))) is None:
+    if (x := _readback(p, _ring_mul(p, q, _lift(p, x_n), v), bound=_norm(p, q, v))) is None:
         raise DegenerateRatio("shift denominator x_n + x_{m+1} - p vanished")
     return x
 
@@ -112,7 +112,7 @@ def double_ratio(params: RecurrenceParams, x_n: Fraction) -> Fraction:
     """
     p, q = params.p, params.q
     e = _ring_mul(p, q, _ring_pow(p, q, _lift(p, x_n), 2), (0, 1))
-    if (x := _readback(p, q, e, bound=q * (p * p - 4 * q))) is None:
+    if (x := _readback(p, e, bound=q * (p * p - 4 * q))) is None:
         raise DegenerateRatio("doubling denominator q - x_n^2 vanished")
     return x
 
@@ -130,7 +130,7 @@ def fibonacci_index_accel(
     p, q = params.p, params.q
     v = _lift(p, x_b)
     e = _ring_mul(p, q, _ring_mul(p, q, _lift(p, x_a), v), (0, 1))
-    if (x := _readback(p, q, e, bound=q * _norm(p, q, v))) is None:
+    if (x := _readback(p, e, bound=q * _norm(p, q, v))) is None:
         raise DegenerateRatio("Fibonacci-step denominator q - x_a*x_b vanished")
     return x
 
@@ -189,10 +189,10 @@ def accelerate_general(
         raise ValueError(
             f"initial indices must be >= 2, got ({format_rational(g.i)}, {format_rational(g.j)})"
         )
-    entries = []
+    entries, bound = [], _power_bound(p, q)
     for idx, (t_idx, u_idx) in _power_chain(p, q, g.i, g.j, g.s, g.t, count, max_index):
         u_prev = -t_idx // q
-        if (x := _readback(p, q, (u_idx - p * u_prev, u_prev))) is None:
+        if (x := _readback(p, (u_idx - p * u_prev, u_prev), 1, bound)) is None:
             raise _vanished(idx)
         entries.append(AccelerationEntry(idx, Fraction(u_idx), Fraction(t_idx), x))
     return entries

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _Value, _check_index, _power_chain, _readback, _ring_pow
+from .core import _Value, _check_index, _power_bound, _power_chain, _readback, _ring_pow
 from .errors import DegenerateConvergent, NonRealRoots
 from .formatting import _quoted, format_rational
 from .roots import _METHODS, _index_chain
@@ -190,14 +190,14 @@ def quad_cf_convergent(
 ) -> Fraction:
     """C_n = sigma_{n+2} / (a * sigma_{n+1}).
 
-    alpha^(n+1) for (b, -a*c), read back over a.  When gcd(b, a*c) = 1 this
-    needs no gcd: consecutive sigma terms are coprime, and sigma_m = b^(m-1) (mod a) is prime to a.
+    alpha^(n+1) for (b, -a*c), read back over a against core._power_bound: when
+    gcd(b, a*c) = 1 this needs no gcd.
     """
     if n < 0:
         raise ValueError(f"convergent index must be >= 0, got {format_rational(n)}")
     _check_index(n + 1, max_index)
     p, q = qcf.b, -qcf.a * qcf.c
-    if (c := _readback(p, q, _ring_pow(p, q, (0, 1), n + 1), qcf.a)) is None:
+    if (c := _readback(p, _ring_pow(p, q, (0, 1), n + 1), qcf.a, _power_bound(p, q))) is None:
         raise DegenerateConvergent(f"sigma_{n + 1} = 0, convergent C_{n} undefined")
     _check_index(n + 2, max_index)
     return c
@@ -248,9 +248,9 @@ def method_subsequence(
             f"b^2 + 4ac = {format_rational(disc)} <= 0: the continued fraction has no real target"
         )
     p, q = qcf.b, -qcf.a * qcf.c
-    out = []
+    out, bound = [], _power_bound(p, q)
     for k, power in _power_chain(p, q, *_index_chain(_METHODS[method][0]), count, max_index):
-        if (c := _readback(p, q, power, qcf.a)) is None:
+        if (c := _readback(p, power, qcf.a, bound)) is None:
             raise DegenerateConvergent(f"sigma_{k} = 0, convergent C_{k - 1} undefined")
         _check_index(k + 1, max_index)
         out.append((k - 1, c))

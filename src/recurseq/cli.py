@@ -188,6 +188,10 @@ def cmd_cf(args, max_index) -> int:
 def _verify_nested_fib(args, max_index):
     from . import accel
     _require(args.n_max >= 3, "--n-max must be >= 3")
+    cap, n, f_prev, f = max_index or core.DEFAULT_INDEX_CAP, 3, 1, 2  # F_n by addition
+    while n < args.n_max and max(n, f) <= cap:  # each n reads index F_n (n itself for n < 5)
+        n, f_prev, f = n + 1, f, f + f_prev
+    core._check_index(max(n, f), max_index)  # F at n_max, or the first index past the cap
     for n in range(3, args.n_max + 1):
         ok = accel.verify_nested_fibonacci_identity(n, max_index)
         yield f"nested-fib n={n}", ok, "identity sides differ"
@@ -206,6 +210,7 @@ def _verify_fkn(args, max_index):
 def _verify_cubic(args, max_index):
     from . import accel
     _require(args.n_max >= 3, "--n-max must be >= 3")
+    core._check_index(args.n_max, max_index)  # F_n at the largest n
     for n in range(3, args.n_max + 1):
         ok = accel.verify_cubic_fibonacci_identity(n, max_index)
         yield f"cubic-fib n={n}", ok, "identity sides differ"

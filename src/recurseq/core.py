@@ -26,6 +26,7 @@ from .formatting import format_rational
 
 #: Default bound on |index| for any sequence evaluation; see IndexCapExceeded.
 DEFAULT_INDEX_CAP = 10_000_000
+_new = object.__new__  # for _coprime_fraction: looked up once, not once per read-back
 
 
 def _check_index(n: int, max_index: int | None) -> None:
@@ -119,7 +120,7 @@ def __getattr__(name):
 # z1*z2 and powers z^m.  The common factor of what is read back obeys one rule:
 # for w primitive, that of w*v divides N(v) = v0^2 + p*v0*v1 + q*v1^2 (as
 # w*v*conj(v) = N(v)*w), and that of w^m is made of primes of D = p^2 - 4q
-# (mod other primes the ring has no nilpotents).  _readback uses it.
+# (mod other primes the ring has no nilpotents).  Bounds multiply, as norms do.
 
 
 def _ring_mul(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -198,12 +199,13 @@ def _norm(p: int, q: int, v: tuple[int, int]) -> int:
 
 
 def _bounded_fraction(num: int, den: int, bound: int) -> Fraction:
-    """Fraction(num, den), given that every prime of gcd(num, den) divides bound.
+    """Fraction(num, den), given that every prime of gcd(num, den) divides bound: the one
+    gate for a Fraction built past Fraction's own gcd.
 
-    The gcds run against bound (linear time when it is small), repeated while
-    they find a factor; bound = 0 (nothing known) is one full gcd.
+    The gcds run against bound (linear time when it is small) while they find a
+    factor: bound = 1 (coprime) runs none, bound = 0 (nothing known) one full gcd.
     """
-    g = gcd(bound, num, den)
+    g = 1 if bound == 1 else gcd(bound, num, den)
     while g > 1:
         num, den = num // g, den // g
         g = gcd(bound, num, den) if bound else 1
@@ -220,26 +222,26 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
         return Fraction(0)
     if den < 0:
         num, den = -num, -den
-    f = object.__new__(Fraction)
+    f = _new(Fraction)
     f._numerator = num
     f._denominator = den
     return f
 
 
-def _readback(p: int, q: int, e: tuple[int, int], a: int = 1, bound: int | None = None) -> Fraction | None:
-    """(e0 + p*e1)/(a*e1) in lowest terms, or None when e1 = 0.
+def _power_bound(p: int, q: int) -> int:
+    """The bound of alpha^m read back over a whose primes divide q: 1 if gcd(p, q) = 1, else 0.
 
-    Every prime of the common factor must divide a*bound (0: one full gcd).
-    bound = None: e is a power of alpha and a's primes divide q.  Then, for
-    gcd(p, q) = 1, consecutive U terms are coprime and U_m = p^(m-1) (mod q)
-    is prime to q (E. Lucas, 1878), so no gcd runs; else one full gcd does.
+    Consecutive U terms are then coprime, and U_m = p^(m-1) (mod q) is prime to q (E. Lucas, 1878).
     """
+    return 1 if gcd(p, q) == 1 else 0
+
+
+def _readback(p: int, e: tuple[int, int], a: int = 1, bound: int = 0) -> Fraction | None:
+    """(e0 + p*e1)/(a*e1) in lowest terms, or None when e1 = 0; bound as for _bounded_fraction."""
     e0, e1 = e
     if not e1:
         return None
-    if bound is None and gcd(p, q) == 1:
-        return _coprime_fraction(e0 + p * e1, a * e1)
-    return _bounded_fraction(e0 + p * e1, a * e1, a * bound if bound else 0)
+    return _bounded_fraction(e0 + p * e1, a * e1, bound)
 
 
 def companion_power(
@@ -263,8 +265,7 @@ def companion_power(
     if n >= 0:
         return Matrix2(t, u, -q * u, t + p * u)
     # M^{-k} = (1/q^k) [[U_{k+1}, -U_k], [q U_k, -q U_{k-1}]], with q*U_{k-1} = -T_k.
-    # For gcd(p, q) = 1 each U_k is prime to q, so the common factors are powers of q.
-    small, bound = q ** (-n - 1), q if gcd(p, q) == 1 else 0
+    small, bound = q ** (-n - 1), q * _power_bound(p, q)
     big = small * q
     return Matrix2(_bounded_fraction(t + p * u, big, bound), _bounded_fraction(-u, big, bound),
                    _bounded_fraction(u, small, bound), _bounded_fraction(t // q, small, bound))
@@ -316,10 +317,8 @@ def decimated_params(
     return RecurrenceParams(lucas_v(params, m, max_index), params.q**m)
 
 
-_FIB = RecurrenceParams(1, -1)
-
-
 def fibonacci(n: int, max_index: int | None = None) -> int:
     """F_n, extended to negative n via F_{-k} = (-1)^{k+1} F_k."""
-    value = basis_ut(_FIB, n, max_index)[0]
-    return int(value) if isinstance(value, Fraction) else value
+    _check_index(n, max_index)
+    f = _ring_pow(1, -1, (0, 1), abs(n))[1]
+    return -f if n < 0 and n % 2 == 0 else f

@@ -84,9 +84,10 @@ _METHODS = {
 def _method(name: str, order: int | None = None) -> tuple[int | None, str]:
     """(m, degenerate text) of a method by name; householder needs its order."""
     if name == "householder":
-        if order is None or order < 1:
+        if order is None:
             raise ValueError("householder method needs an order >= 1")
-        return order + 1, f"Householder order-{order} denominator vanished"
+        # One step takes x_2 to x_{m+1}; householder_index holds the one check of the order.
+        return householder_index(2, order) - 1, f"Householder order-{order} denominator vanished"
     if name not in _METHODS:
         raise ValueError(f"unknown method {_quoted(name)}")
     return _METHODS[name]
@@ -105,15 +106,15 @@ def _step(p: int, q: int, a: int, ys, m: int | None, degenerate: str) -> Fractio
     Lift and read-back (see core) make this a polynomial identity in (x, p, q),
     valid also for a double root, complex roots and at a rational root (which
     it fixes); e1 = 0 exactly when the method's own denominator vanishes.  A
-    power's common factor is made of primes of D = p^2 - 4q, a secant's needs
-    one full gcd (bound 0, as for D = 0), and dividing by a adds primes of a.
+    power's common factor is made of primes of D = p^2 - 4q and of a (bound a*D),
+    a secant's needs one full gcd (bound 0, as for D = 0).
     """
     w = _lift(p, ys[-1], a)
     if m:
-        e, bound = _ring_pow(p, q, w, m), p * p - 4 * q
+        e, bound = _ring_pow(p, q, w, m), a * (p * p - 4 * q)
     else:
         e, bound = _ring_mul(p, q, w, _lift(p, ys[-2], a)), 0
-    if (y := _readback(p, q, e, a, bound)) is None:
+    if (y := _readback(p, e, a, bound)) is None:
         raise DegenerateStep(degenerate)
     return y
 
@@ -140,8 +141,6 @@ def householder_step(f: QuadraticPQ, y, d: int) -> Fraction:
     is z -> z^(d+1), so d = 1 reproduces the Newton step and d = 2 the
     Halley step exactly.
     """
-    if d < 1:
-        raise ValueError(f"Householder order must be >= 1, got {format_rational(d)}")
     return _step(f.p, f.q, 1, (y,), *_method("householder", d))
 
 

@@ -29,8 +29,9 @@ def default_str_guard():
 @pytest.fixture(autouse=True, scope="session")
 def coprime_audit():
     """Every read-back that skips the gcd is checked: core._coprime_fraction must
-    only see coprime pairs (num = 0 aside).  _bounded_fraction and _readback find
-    it by global lookup, so the wrapper sees every skip; the original is restored."""
+    only see coprime pairs (num = 0 aside).  _bounded_fraction, every read-back's
+    gate, finds it by global lookup, so the wrapper sees every skip; the original
+    is restored."""
     from recurseq import core
 
     original = core._coprime_fraction

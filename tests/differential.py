@@ -15,7 +15,11 @@ The grid covers every public function that computes a value:
 - |p|, |q| <= 8 (q = 0, D = 0 and gcd(p, q) > 1 among them) for the
   sequences, ratios, step maps and accelerations;
 - |a|, |b|, |c| <= 8 for the quadratics, steps and period-2 fractions;
-- caps None, 1-5, 10, 20 and 40.
+- caps None, 1-5, 10, 20 and 40;
+- the CLI, cli.main(argv) run in process over CLI_ARGVS: every subcommand,
+  exits 0 and 2-5, a few caps.  Its line is the exit code, stdout and stderr.
+  argparse's own usage errors are left out, since their text depends on the
+  terminal width and the interpreter version.
 Inputs are built from plain integers here, not by the code under test.
 tests/test_differential.py runs a small slice of it in process; this file is
 not collected by pytest.
@@ -26,10 +30,12 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tarfile
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import islice
 
@@ -57,6 +63,51 @@ CHAINS = [(2, 3, 1, -1), (2, 4, 2, 0), (2, 3, 3, 0), (3, 5, 2, 1), (2, 3, 2, -1)
           (2, 2, 0, 1), (1, 3, 1, 0), (4, 3, -2, -3)]
 TEXTS = ["3/4", "-6/8", "7", " 2 / -3 ", "1/0", "x", "", "0/5", "1.5", "10/-4"]
 CF_TEXTS = ["1/1 | period=1", "1/2, 1/3", "5/1", "2, -3/2, 1/4 | period=2", "1/1, 1/-1", "3/2, 1/1, 2/5"]
+# Each is split with shlex; the comment after a case is the exit it gives.
+CLI_ARGVS = [
+    "seq -p 1 -q -1 -n 10",
+    "seq -p 3 -q 2 --a0 2 --a1 1 -n 5 --format records",
+    "seq -p 1 -q -1 -n 30 --format decimal:3",
+    "seq -p 1 -q -1 -n 11 --max-index 10",  # 3
+    "seq -p 1 -q -1 -n -1",  # 2
+    "seq -p 1 -q -1 -n 5 --format decimal:20000000",  # 3
+    "ratio -p 1 -q -1 -n 10 --count 3",
+    "ratio -p 4 -q 2 --a0 1 --a1 3 -n 6 --format decimal:8",
+    "ratio -p 0 -q 1 -n 3",  # 4
+    "ratio -p 1 -q -1 -n 5 --count 0",  # 2
+    "accelerate -p 1 -q -1 --scheme double --count 4",
+    "accelerate -p 1 -q -1 --scheme fib-index --count 5 --format records",
+    "accelerate -p 3 -q -5 --scheme arith --h 2 --k 3 --count 3",
+    "accelerate -p 1 -q -1 --scheme general --i 2 --j 3 --s 2 --t 0 --count 4",
+    "accelerate -p 2 -q 3 --scheme shift --n 5 --m 3",
+    "accelerate -p 1 -q 0 --scheme double",  # 4
+    "accelerate -p 1 -q -1 --scheme general --i 2",  # 2
+    "accelerate -p 1 -q -1 --scheme double --count 6 --max-index 20",  # 3
+    "root -a 1 -b 1 -c 1 --method newton --digits 10",
+    "root -a 1 -b 1 -c 1 --method secant --digits 8 --trace",
+    "root -a 2 -b 3 -c 5 --method halley --digits 12 --format records",
+    "root -a 1 -b 1 -c 1 --method householder --order 2 --digits 10 --trace --format records",
+    "root -a 1 -b 1 -c 1 --method householder --order 0 --digits 5",  # 2
+    "root -a 1 -b 0 -c -1 --method newton --digits 5",  # 5
+    "root -a 1 -b 1 -c 1 --method newton --digits 20000000",  # 3
+    "root -a 1 -b 1 -c 1 --method newton --digits 30 --max-iterations 1",  # 4
+    "cf '1/1 | period=1' --count 6",
+    "cf '2, -3/2, 1/4 | period=2' --count 5 --integer --format decimal:5",
+    "cf '1/1, 1/-1 | period=2' --count 4",  # 4
+    "cf x --count 2",  # 2
+    "cf '1/1 | period=1' --count 30 --max-index 20",  # 3
+    "verify nested-fib --n-max 10",
+    "verify nested-fib --n-max 12 --max-index 40",  # 3
+    "verify nested-fib --n-max 2",  # 2
+    "verify fkn --k-max 3 --n-max 4",
+    "verify fkn --k-max 3 --n-max 4 --max-index 11",  # 3
+    "verify cubic-fib --n-max 30",
+    "verify cubic-fib --n-max 30 --max-index 20",  # 3
+    "verify method-maps -p 1 -q -1 --k-max 4 --d-max 2",
+    "verify method-maps -p 0 -q 1 --k-max 3 --d-max 1",  # 4
+    "verify cf-threeway -a 2 -b 2 -c 1 --n-max 8",
+    "verify cf-threeway -a 1 -b 1 -c -1 --n-max 5",  # 4
+]
 
 
 def grid(r: int = 8, n_max: int = 40):
@@ -172,6 +223,18 @@ def grid(r: int = 8, n_max: int = 40):
                 yield call("approximate_root", R.approximate_root, f, "newton", 12, None, 3)
     yield call("approximate_root", R.approximate_root, R.QuadraticABC(1, 1, 1), "householder", 5, None)
     yield call("method_subsequence", on_qcf(R.method_subsequence), 1, 1, 1, "bisection", 2)
+    for argv in CLI_ARGVS:
+        yield call("cli", _cli, *shlex.split(argv))
+
+
+def _cli(*argv):
+    """(exit code, stdout, stderr) of recurseq.cli.main(argv), run in process."""
+    from recurseq.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def canon(value) -> str:

@@ -33,7 +33,7 @@ from recurseq import (
     ratio_x,
     term,
 )
-from recurseq.core import _coprime_fraction, _readback, _ring_pow
+from recurseq.core import _coprime_fraction, _power_bound, _readback, _ring_pow
 from recurseq.formatting import _STR_BITS, _int_text
 from oracles import companion_tuple, mat_mul, naive_ut, sqrt_decimal
 
@@ -108,7 +108,7 @@ class TestCommonFactorCoefficients:
         assert gcd(p, q) > 1
         us, _ = naive_ut(p, q, 60)
         for n in range(1, 60):
-            x = _readback(p, q, _ring_pow(p, q, (0, 1), n))
+            x = _readback(p, _ring_pow(p, q, (0, 1), n), bound=_power_bound(p, q))
             if us[n] == 0:
                 assert x is None
             else:

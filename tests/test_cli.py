@@ -373,6 +373,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "fkn", "--k-max", "3", "--n-max", "4", "--max-index", "11")
         assert (code, out, err) == (3, "", "error: index 12 exceeds the evaluation cap 11\n")
 
+    @pytest.mark.parametrize("identity, name, flags, index", [
+        ("nested-fib", "verify_nested_fibonacci_identity", ("--n-max", "40"), 14930352),  # F_36, first past the cap
+        ("nested-fib", "verify_nested_fibonacci_identity", ("--n-max", "12", "--max-index", "40"), 55),
+        ("nested-fib", "verify_nested_fibonacci_identity", ("--n-max", "3", "--max-index", "2"), 3),
+        ("cubic-fib", "verify_cubic_fibonacci_identity", ("--n-max", "20000000"), 20000000),
+        ("cubic-fib", "verify_cubic_fibonacci_identity", ("--n-max", "30", "--max-index", "20"), 30),
+    ])
+    def test_fib_identities_over_cap_exit_3_before_any_identity(self, capsys, monkeypatch, identity, name, flags,
+                                                                index):
+        from recurseq import accel
+
+        def unreachable(*args):
+            raise AssertionError("an identity was checked")
+
+        monkeypatch.setattr(accel, name, unreachable)
+        cap = flags[-1] if "--max-index" in flags else "10000000"
+        code, out, err = run(capsys, "verify", identity, *flags)
+        assert (code, out, err) == (3, "", f"error: index {index} exceeds the evaluation cap {cap}\n")
+
 
 def run_guarded(capsys, *argv):
     """run, then check that main left the int-to-str digit guard where the test set it."""

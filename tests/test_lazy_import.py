@@ -88,6 +88,11 @@ class TestColdStart:
         """Only cf's ConvergentRecord and core's Matrix2 are dataclasses."""
         assert {"dataclasses", "inspect"}.isdisjoint(modules_after(run_cli(*argv)))
 
+    def test_negative_fibonacci_loads_no_matrix(self):
+        """F_{-k} = (-1)^{k+1} F_k comes from one ring power, not from a companion-matrix inverse."""
+        loaded = modules_after("import recurseq\nassert recurseq.fibonacci(-5) == 5 and recurseq.fibonacci(-6) == -8")
+        assert {"dataclasses", "recurseq._matrix"}.isdisjoint(loaded)
+
     def test_seq_loads_no_typing(self):
         # -S: a site .pth hook may import typing before the probe runs.
         assert "typing" not in modules_after(run_cli("seq", "-p", "1", "-q", "-1", "-n", "10"), "-S")

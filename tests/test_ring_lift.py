@@ -12,12 +12,16 @@ step on a*t^2 - b*t - c is, after scaling by a, the shift map of
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import recurseq
 from recurseq import (
     DegenerateRatio,
     DegenerateStep,
+    IndexSequenceParams,
+    PeriodicQuadCF,
     QuadraticABC,
     RecurrenceParams,
     double_ratio,
@@ -25,7 +29,7 @@ from recurseq import (
     secant_step,
     shift_ratio,
 )
-from recurseq.core import _bounded_fraction, _readback, _ring_mul, _ring_pow
+from recurseq.core import _bounded_fraction, _power_bound, _readback, _ring_mul, _ring_pow
 from oracles import naive_ut, pair_doubling
 from test_bigint_paths import COMMON_FACTOR_PAIRS
 
@@ -97,14 +101,14 @@ scales = st.sampled_from([1, 2, 3, -4, 6])
 
 
 class TestReadback:
-    """_readback(p, q, e, a, bound) is Fraction(e0 + p*e1, a*e1), or None when e1 = 0."""
+    """_readback(p, e, a, bound) is Fraction(e0 + p*e1, a*e1), or None when e1 = 0."""
 
     @given(p=coeff, q=coeff, e0=big, e1=big, a=scales)
     @example(p=1, q=-1, e0=5, e1=0, a=1)
     @example(p=2, q=2, e0=-4, e1=6, a=-4)
     @example(p=0, q=0, e0=0, e1=-3, a=6)
     def test_bound_zero_on_any_element(self, p, q, e0, e1, a):
-        got = _readback(p, q, (e0, e1), a, 0)
+        got = _readback(p, (e0, e1), a, 0)
         if e1 == 0:
             assert got is None
         else:
@@ -120,7 +124,7 @@ class TestReadback:
         """alpha^n = T_n + U_n*alpha reads back as x_{n+1} = U_{n+1}/U_n."""
         p, q = pq
         us, _ = naive_ut(p, q, n + 1)
-        got = _readback(p, q, _ring_pow(p, q, (0, 1), n))
+        got = _readback(p, _ring_pow(p, q, (0, 1), n), bound=_power_bound(p, q))
         if us[n] == 0:
             assert got is None
         else:
@@ -135,11 +139,27 @@ class TestReadback:
         """Over a, with every prime of a dividing q, as for [b/a, b/c]: (p, q) = (b, -a*c)."""
         p, q = b, -a * c
         us, _ = naive_ut(p, q, n + 1)
-        got = _readback(p, q, _ring_pow(p, q, (0, 1), n), a)
+        got = _readback(p, _ring_pow(p, q, (0, 1), n), a, _power_bound(p, q))
         if us[n] == 0:
             assert got is None
         else:
             assert same_fraction(got, Fraction(us[n + 1], a * us[n]))
+
+
+@pytest.mark.parametrize("count", [1, 6])
+@pytest.mark.parametrize("module, run", [
+    ("accel", lambda count: recurseq.accelerate_general(RecurrenceParams(1, -1), IndexSequenceParams(2, 3, 1, -1),
+                                                         count)),
+    ("cf", lambda count: recurseq.method_subsequence(PeriodicQuadCF(3, 5, 2), "secant", count)),
+])
+def test_power_bound_once_per_chain_call(monkeypatch, module, run, count):
+    """A chain computes the Lucas bound (gcd(p, q)) once per call, not once per entry."""
+    home = getattr(recurseq, module)
+    calls = []
+    original = home._power_bound
+    monkeypatch.setattr(home, "_power_bound", lambda p, q: calls.append((p, q)) or original(p, q))
+    assert len(run(count)) == count
+    assert len(calls) == 1
 
 
 class TestRingPow:

@@ -122,6 +122,25 @@ class TestIndexMaps:
         assert householder_index(2, 3) == 5
         assert householder_index(5, 4) == 21
 
+    def test_householder_order_zero_has_one_message(self, capsys):
+        """The order is checked once: the index map, the step, the root and the CLI say the same."""
+        from recurseq.cli import main
+
+        message = "Householder order must be >= 1, got 0"
+        calls = (lambda: householder_index(2, 0), lambda: householder_step(QuadraticPQ(1, -1), 2, 0),
+                 lambda: approximate_root(GOLDEN, "householder", 5, order=0))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        argv = ["root", "-a", "1", "-b", "1", "-c", "1", "--method", "householder", "--order", "0", "--digits", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        with pytest.raises(ValueError, match="^ratio index must be >= 2, got 1$"):
+            householder_index(1, 0)  # k is checked first
+        with pytest.raises(ValueError, match="^householder method needs an order >= 1$"):
+            approximate_root(GOLDEN, "householder", 5)
+
     def test_secant_index_sequence(self):
         assert secant_index_sequence(6) == [2, 3, 4, 6, 9, 14]
         assert secant_index_sequence(1) == [2]

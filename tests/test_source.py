@@ -5,9 +5,10 @@ left behind, or a private helper whose last caller is gone.  Two more keep
 start-up cheap: the package and the CLI import no module at load time that a
 call may not need, and the modules every call loads import neither
 dataclasses nor typing.  One keeps the CLI to parsing and printing: it calls no
-step, index map or convergent route itself.  Two keep one engine:
-core._ring_pow is the only loop over the bits of an exponent, and only core
-builds a Fraction without the gcd Fraction itself would run.
+step, index map or convergent route itself.  Three keep one engine:
+core._ring_pow is the only loop over the bits of an exponent, only core
+builds a Fraction without the gcd Fraction itself would run, and only core
+calls math.gcd.
 """
 
 import ast
@@ -174,4 +175,10 @@ def test_fractions_past_the_gcd_are_built_in_core_only():
         if path.stem != "core"
         for name in sorted(names & (referenced_names(parse(path)) | {n for n, _ in imported_names(parse(path))}))
     ]
+    assert outside == []
+
+
+def test_gcd_is_called_in_core_only():
+    """Every gcd is core's: the read-back gate and the Lucas rule, which a chain computes once per call."""
+    outside = [path.name for path in SOURCES if path.stem != "core" and "gcd" in referenced_names(parse(path))]
     assert outside == []
